@@ -2,29 +2,22 @@
 drift across worker counts, collect cost metrics, and emit measured-versus
 -predicted speedup/efficiency tables and charts."""
 
+import argparse
+import math
 import os
+import sys
+from dataclasses import replace
+from pathlib import Path
 
-# keep worker math on a single BLAS thread; set before numpy initializes
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+import numpy as np
 
-import argparse  # noqa: E402
-import math  # noqa: E402
-import sys  # noqa: E402
-from dataclasses import replace  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from .bsf import BsfExecutor, RunMetrics, SimTiming, metrics_to_csv  # noqa: E402
-from .charts import line_chart  # noqa: E402
-from .cost_model import (DEFAULT_LATENCY_NS, ScenarioModel, calibrate,  # noqa: E402
+from .bsf import BsfExecutor, RunMetrics, SimTiming, metrics_to_csv
+from .charts import line_chart
+from .cost_model import (DEFAULT_LATENCY_NS, ScenarioModel, calibrate,
                          curves_to_csv, delta_fraction, predict_curves)
-from .lp import (DriftSpec, NonStationaryLP, model_n, model_n_optimum,  # noqa: E402
-                 read_problem)
-from .quest import FejerConfig, pseudo_project  # noqa: E402
-from .targeting import TargetingConfig, run_targeting  # noqa: E402
+from .lp import DriftSpec, NonStationaryLP, model_n, model_n_optimum, read_problem
+from .quest import FejerConfig, pseudo_project
+from .targeting import TargetingConfig, run_targeting
 
 THREAD_CAP_ENV = "NSLP_THREADS"
 
@@ -118,8 +111,8 @@ def _quest_config(args) -> FejerConfig:
 
 def _targeting_config(args, oracle_gap: bool = False) -> TargetingConfig:
     return TargetingConfig(points_per_cohort=args.k, spacing=args.spacing,
-                           stall_limit=args.stall_limit, seed=args.seed,
-                           quest=_quest_config(args), oracle_gap=oracle_gap)
+                           stall_limit=args.stall_limit, quest=_quest_config(args),
+                           oracle_gap=oracle_gap)
 
 
 def _cap_workers(workers: list[int]) -> list[int]:

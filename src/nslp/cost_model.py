@@ -108,18 +108,41 @@ def delta_fraction(mode: str, n: int, custom: float | None = None) -> float:
     return ScenarioModel(n=n, delta_mode=mode, custom_delta=custom).delta()
 
 
+class CostShapes(NamedTuple):
+    """The per-iteration cost shapes at one dimension: units of each cost
+    component, which a ``ScenarioModel`` turns into ns with its constants."""
+
+    t_s: float
+    t_w: float
+    t_r: float
+    t_p: float
+
+
+def cost_shapes(n: int, delta: float) -> CostShapes:
+    """t_s ~ delta(n)(n+1)^2 + (n+1), t_w ~ n^3 + n^2 + n, t_r ~ n, t_p ~ n^2.
+
+    ``t_w`` keeps the paper's shape, a full ``A @ p`` for each of the n*K
+    cross points. The tracker screens the cross through rank-1 residuals
+    instead, so its measured worker cost grows like K*nnz(A) plus the n*K
+    point copies, well below n^3 on sparse rows. A model calibrated at one n
+    therefore predicts poorly far from it: calibrate at the n you predict for.
+    """
+    n = float(n)
+    return CostShapes(t_s=delta * (n + 1.0) ** 2 + (n + 1.0), t_w=n ** 3 + n ** 2 + n,
+                      t_r=n, t_p=n ** 2)
+
+
 def scenario_params(model: ScenarioModel, p_workers: int) -> CostParams:
-    """Instantiate the per-iteration cost shapes at the model's dimension:
-    t_s ~ delta(n)(n+1)^2 + (n+1), t_w ~ n^3 + n^2 + n, t_r ~ n, t_p ~ n^2."""
-    n = float(model.n)
-    d = model.delta()
+    """Instantiate the per-iteration cost shapes (``cost_shapes``) at the
+    model's dimension."""
+    shape = cost_shapes(model.n, model.delta())
     return CostParams(
         p_workers=p_workers,
         latency_ns=model.latency_ns,
-        t_s_ns=model.c_s * (d * (n + 1.0) ** 2 + (n + 1.0)),
-        t_w_ns=model.c_w * (n ** 3 + n ** 2 + n),
-        t_r_ns=model.c_r * n,
-        t_p_ns=model.c_p * n ** 2,
+        t_s_ns=model.c_s * shape.t_s,
+        t_w_ns=model.c_w * shape.t_w,
+        t_r_ns=model.c_r * shape.t_r,
+        t_p_ns=model.c_p * shape.t_p,
     )
 
 
@@ -132,19 +155,14 @@ def calibrate(measurements: Iterable[tuple[int, RunMetrics]], delta_mode: str = 
     pts = list(measurements)
     if not pts:
         raise ValueError("need at least one measurement")
+    shapes = [(cost_shapes(n, delta_fraction(delta_mode, n, custom_delta)), m) for n, m in pts]
 
-    def fit(shape, value) -> float:
-        num = sum(shape(n) * value(m) for n, m in pts)
-        den = sum(shape(n) ** 2 for n, _ in pts)
+    def fit(name: str) -> float:
+        num = sum(getattr(shape, name) * getattr(m, name + "_ns") for shape, m in shapes)
+        den = sum(getattr(shape, name) ** 2 for shape, _ in shapes)
         return max(num / den, 1e-30)
 
-    def d_of(n: int) -> float:
-        return delta_fraction(delta_mode, n, custom_delta)
-
-    c_s = fit(lambda n: d_of(n) * (n + 1.0) ** 2 + (n + 1.0), lambda m: m.t_s_ns)
-    c_w = fit(lambda n: float(n) ** 3 + n ** 2 + n, lambda m: m.t_w_ns)
-    c_r = fit(lambda n: float(n), lambda m: m.t_r_ns)
-    c_p = fit(lambda n: float(n) ** 2, lambda m: m.t_p_ns)
+    c_s, c_w, c_r, c_p = (fit(name) for name in CostShapes._fields)
     if latency_ns is None:
         latency_ns = sum(m.latency_ns for _, m in pts) / len(pts)
     return ScenarioModel(n=pts[-1][0], delta_mode=delta_mode, custom_delta=custom_delta,

@@ -37,7 +37,6 @@ class TargetingConfig:
     points_per_cohort: int = 8      # K, even
     spacing: float = 1.0            # s
     stall_limit: int = 10
-    seed: int = 0
     quest: FejerConfig = field(default_factory=FejerConfig)
     oracle_gap: bool = False
 
@@ -55,10 +54,77 @@ class TargetingState:
     stalls: int = 0
 
 
+# Screen verdicts for one cross point.
+_INFEASIBLE, _FEASIBLE, _UNSURE = 0, 1, 2
+
+
+def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) -> np.ndarray:
+    """Feasibility verdicts for the points ``center + steps[k] * e_chi`` of
+    the given cohorts, shape (cohorts, steps), from one product
+    ``r0 = A @ center - b`` for all of them.
+
+    A point on axis ``j`` has residual ``r0 + t * A[:, j]``, with ``t`` its
+    move. Rows with ``A[i, j] == 0`` get an exact zero term for column ``j``
+    in ``A @ p``, so they keep ``r0[i]`` (up to the sign of zero) and decide
+    on its sign. Every other row decides only when its rank-1 estimate lies
+    outside the guard ``2(n+2)eps * (|A_i|@|center| + |b_i| + |a t|)``,
+    twice the first-order bound on the rounding error of the two dot
+    products and the update. A point with no row over the guard and some
+    row inside it is _UNSURE; so is every point when ``r0`` or a coordinate
+    is not finite.
+    """
+    A, center = lp.A, cross.center
+    cols = np.asarray(cohorts, dtype=np.intp)
+    r0 = A @ center - lp.b
+    c = center[cols, None]
+    coords = c + steps        # the coordinate point_of writes, bit for bit
+    if not (np.isfinite(r0).all() and np.isfinite(coords).all()):
+        return np.full(coords.shape, _UNSURE, dtype=np.int8)
+    t = coords - c
+    # nonnegativity: the point copies the center everywhere but on its axis
+    negative = center < 0.0
+    ok = ((np.count_nonzero(negative) - negative[cols]) == 0)[:, None] & (coords >= 0.0)
+    ri, ci = np.nonzero((A != 0.0)[:, cols])
+    # zero rows: no row over b at the center may be zero in the column
+    positive = r0 > 0.0
+    zero_over = np.count_nonzero(positive) - np.bincount(ci[positive[ri]], minlength=len(cols))
+    ok &= (zero_over == 0)[:, None]
+    a = A[ri, cols[ci]]
+    r0_nz = r0[ri]
+    rows, row_of = np.unique(ri, return_inverse=True)
+    mag = A[rows]
+    np.abs(mag, out=mag)
+    scale = (mag @ np.abs(center) + np.abs(lp.b[rows]))[row_of]
+    gamma = 2.0 * (lp.n + 2) * np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).tiny  # absorbs underflow in the products
+    over = np.zeros(coords.shape, dtype=bool)
+    unsure = np.zeros(coords.shape, dtype=bool)
+    for k in range(coords.shape[1]):
+        at = a * t[ci, k]
+        est = r0_nz + at
+        guard = gamma * (scale + np.abs(at)) + tiny
+        over[:, k] = np.bincount(ci[est > guard], minlength=len(cols)) > 0
+        unsure[:, k] = np.bincount(ci[~(np.abs(est) > guard)], minlength=len(cols)) > 0
+    ok &= ~over
+    return np.where(ok, np.where(unsure, _UNSURE, _FEASIBLE), _INFEASIBLE).astype(np.int8)
+
+
 def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     """Steps 2-4 restricted to the given cohorts: reconstruct each cohort's
     points, drop the infeasible ones, and keep the feasible point with the
     largest objective value.
+
+    Feasibility gives the same verdict as ``max_violation(lp, p) == 0.0``
+    on every point, without a full ``A @ p`` each. One ``A @ center - b``
+    per call screens all points through their rank-1 residuals (see
+    ``_screen``). Rows with a zero in the point's column decide on the
+    center's residual; that relies on BLAS summing a row in an order that
+    does not depend on the vector's values. Other rows decide outside a
+    rounding guard of ``2(n+2)eps * (|A|@|center| + |b| + |a t|)``; a point
+    with a row inside the guard and none over it falls back to the exact
+    ``max_violation``. Nonnegativity is checked exactly, on the coordinate
+    ``point_of`` writes. Values come from ``objective_value`` on the built
+    point.
 
     Ties break deterministically: smallest |offset| first, negative before
     positive, so results are independent of how cohorts are partitioned
@@ -66,14 +132,24 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     """
     if lp.n != cross.dimension:
         raise ValueError(f"problem dimension {lp.n} != cross dimension {cross.dimension}")
+    chis = sorted(int(c) for c in cohorts)
+    cohort_ms = [cohort_markers(cross, chi) for chi in chis]
+    if not chis:
+        return []
+    offsets = [m.offset for m in cohort_ms[0]]
+    verdicts = _screen(lp, cross, chis, np.array(offsets) * cross.spacing).tolist()
+    order = sorted(range(len(offsets)), key=lambda k: (abs(offsets[k]), offsets[k] > 0))
     out = []
-    for chi in sorted(int(c) for c in cohorts):
+    for chi, ms, verdict in zip(chis, cohort_ms, verdicts):
         best_point = None
         best_value = -math.inf
-        ms = sorted(cohort_markers(cross, chi), key=lambda m: (abs(m.offset), m.offset > 0))
-        for m in ms:
-            p = point_of(cross, m)
-            if max_violation(lp, p) == 0.0:
+        for k in order:
+            p = point_of(cross, ms[k])
+            if verdict[k] == _UNSURE:
+                feasible = max_violation(lp, p) == 0.0
+            else:
+                feasible = verdict[k] == _FEASIBLE
+            if feasible:
                 v = objective_value(lp, p)
                 if v > best_value:
                     best_point, best_value = p, v

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nslp.targeting
 from nslp import (BsfExecutor, CohortBest, Cross, DenseLP, DriftSpec, FejerConfig,
-                  NonStationaryLP, TargetingConfig, TargetingState, evaluate,
-                  max_violation, model_n, model_n_optimum, objective_value,
-                  process_cohorts, run_targeting, snapshot)
+                  NonStationaryLP, TargetingConfig, TargetingState, cohort_markers,
+                  evaluate, max_violation, model_n, model_n_optimum, objective_value,
+                  point_of, process_cohorts, run_targeting, snapshot)
 from nslp.targeting import TargetingWorkload
 
 
@@ -57,6 +62,131 @@ def test_dimension_mismatch_rejected(unit_square):
     cross = Cross(center=np.zeros(3), spacing=0.1, points_per_cohort=2)
     with pytest.raises(ValueError):
         process_cohorts(unit_square, cross, [0])
+
+
+def _process_cohorts_exact(lp, cross, cohorts):
+    """Reference: the per-point loop that runs a full ``max_violation`` on
+    every cross point. The screened ``process_cohorts`` must match it bit
+    for bit."""
+    out = []
+    for chi in sorted(int(c) for c in cohorts):
+        best_point, best_value = None, -math.inf
+        ms = sorted(cohort_markers(cross, chi), key=lambda m: (abs(m.offset), m.offset > 0))
+        for m in ms:
+            p = point_of(cross, m)
+            if max_violation(lp, p) == 0.0:
+                v = objective_value(lp, p)
+                if v > best_value:
+                    best_point, best_value = p, v
+        out.append(CohortBest(chi) if best_point is None
+                   else CohortBest(chi, best_point, best_value))
+    return out
+
+
+def _assert_same_bests(got, want):
+    assert [b.cohort for b in got] == [b.cohort for b in want]
+    for g, w in zip(got, want):
+        assert (g.point is None) == (w.point is None)
+        if w.point is not None:
+            assert g.point.tobytes() == w.point.tobytes()
+            assert g.value == w.value
+
+
+def _random_center(rng, n, theta):
+    """Coordinates at 0, at theta or strictly between."""
+    pick = rng.integers(0, 3, n)
+    return np.select([pick == 0, pick == 1], [0.0, theta], rng.uniform(0.0, theta, n))
+
+
+def _maybe_negative(rng, center, spacing):
+    """In about a third of the cases one coordinate turns negative: only
+    its own cohort can then reach the nonnegative orthant."""
+    if rng.random() < 0.3:
+        center[rng.integers(0, center.shape[0])] = -rng.uniform(0.0, 2.0 * spacing)
+    return center
+
+
+def _random_lp(rng, center, spacing, k):
+    """Dense or sparse A, with b at random slack, mostly on the feasible
+    side, around an anchor: the center or one of its cross points. About
+    a third of the rows lie exactly on a face through the anchor. Faces
+    through the center give r0[i] == 0; faces through a cross point put the
+    rank-1 estimate at that point inside the rounding guard."""
+    n = center.shape[0]
+    m = int(rng.integers(1, 3 * n + 1))
+    if rng.random() < 0.5:
+        A = rng.integers(-3, 4, (m, n)).astype(np.float64)
+    else:
+        A = rng.normal(size=(m, n))
+    if rng.random() < 0.5:
+        A *= rng.random((m, n)) < 0.3
+    anchor = center.copy()
+    if rng.random() < 0.5:
+        eta = int(rng.choice([e for e in range(-k // 2, k // 2 + 1) if e != 0]))
+        anchor[rng.integers(0, n)] += eta * spacing
+    slack = np.abs(rng.normal(scale=3.0 * spacing, size=m))
+    b = A @ anchor + np.where(rng.random(m) < 0.1, -slack, slack)
+    on_face = rng.random(m) < 0.3
+    b[on_face] = (A @ anchor)[on_face]
+    return DenseLP(A, b, rng.normal(size=n))
+
+
+def _drifted_model_n(rng, n, theta, spacing):
+    """A drifted ``model_n`` snapshot and a center at its static optimum
+    (coordinates at theta and at 0), partly jittered."""
+    drift = DriftSpec(kind="random-sparse", delta=float(rng.choice([0.05, 1.0])),
+                      magnitude=float(rng.choice([1e-3, 1.0])), seed=int(rng.integers(1 << 30)))
+    lp = snapshot(NonStationaryLP(model_n(n, theta=theta), drift), int(rng.integers(0, 4)))
+    center, _ = model_n_optimum(n, theta)
+    jitter = rng.random(n) < 0.5
+    center[jitter] = np.maximum(center[jitter] - rng.uniform(0.0, 2.0 * spacing, n)[jitter], 0.0)
+    return lp, center
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "model_n"]),
+       k=st.sampled_from([2, 4, 8]))
+def test_screened_cohorts_match_the_exact_loop(seed, kind, k):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    theta = float(rng.choice([1.0, 200.0]))
+    spacing = float(rng.choice([0.25, 1.0, rng.uniform(0.01, 3.0)]))
+    if kind == "random":
+        center = _maybe_negative(rng, _random_center(rng, n, theta), spacing)
+        lp = _random_lp(rng, center, spacing, k)
+    else:
+        lp, center = _drifted_model_n(rng, n, theta, spacing)
+        center = _maybe_negative(rng, center, spacing)
+    cross = Cross(center, spacing, k)
+    whole = list(range(n))
+    subset = [c for c in whole if rng.random() < 0.5] or [int(rng.integers(0, n))]
+    for cohorts in (whole, subset):
+        _assert_same_bests(process_cohorts(lp, cross, cohorts),
+                           _process_cohorts_exact(lp, cross, cohorts))
+
+
+def test_point_landing_on_a_face_goes_to_the_exact_check(unit_square, monkeypatch):
+    # the offset +2 points sit exactly on x_i <= 1, where the rank-1
+    # estimate reads 0 and cannot be trusted; everything else is screened
+    checked = []
+
+    def counting(lp, p):
+        checked.append(p.tolist())
+        return max_violation(lp, p)
+
+    monkeypatch.setattr(nslp.targeting, "max_violation", counting)
+    bests = process_cohorts(unit_square, _square_cross(), [0, 1])
+    assert checked == [[1.0, 0.5], [0.5, 1.0]]
+    _assert_same_bests(bests, _process_cohorts_exact(unit_square, _square_cross(), [0, 1]))
+
+
+def test_overflowing_points_go_to_the_exact_check(unit_square):
+    # center + spacing overflows to inf on axis 0: the exact product then
+    # meets 0 * inf, and the screen must not decide such points itself
+    cross = Cross(np.array([1.7e308, 5.0]), 1e308, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_bests(process_cohorts(unit_square, cross, [0, 1]),
+                           _process_cohorts_exact(unit_square, cross, [0, 1]))
 
 
 def test_evaluate_moves_to_centroid(unit_square):
