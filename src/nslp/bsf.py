@@ -2,10 +2,11 @@
 macro-steps (send orders, process, receive results, evaluate) separated by
 a full barrier.
 
-Two interchangeable backends execute the same workload callbacks and must
-produce identical outputs: ``sequential-sim`` runs everything in-process
-with a deterministic synthetic clock, ``worker-pool`` runs workers in
-spawned processes connected by pipes and reports measured timings.
+One master loop drives both backends, which differ only in how an order
+frame reaches the workers and their results come back, and must produce
+identical outputs: ``sequential-sim`` runs everything in-process with a
+deterministic synthetic clock, ``worker-pool`` runs workers in spawned
+processes connected by pipes and reports measured timings.
 
 Workload protocol (duck-typed):
 
@@ -226,35 +227,48 @@ def block_partition(n_items: int, p: int) -> list[list[int]]:
     return parts
 
 
-# --- sequential simulator ---------------------------------------------------
+# --- the macro-step loop -----------------------------------------------------
 
 
-def _run_sim(workload, p_workers: int, timing: SimTiming, recorder: BsfRecorder | None):
-    partition = block_partition(workload.cohort_count, p_workers)
-    setup = workload.init(p_workers, partition)
-    states = [setup.init_state(w, tuple(partition[w])) for w in range(p_workers)]
-    work_ns = [timing.work_ns_per_cohort * len(partition[w]) for w in range(p_workers)]
-    iterations = 0
+def _run(workload, exchange, recorder: BsfRecorder | None):
+    """The BSF master loop shared by both backends. Each iteration encodes
+    the order, hands the frame to ``exchange`` (which returns one
+    ``WorkerResult`` per worker, in worker order: the barrier), then merges
+    and evaluates, until ``exit_check``. Returns the per-iteration evaluate
+    and whole-iteration times (ns)."""
+    eval_ns, iter_ns = [], []
     while True:
-        order = workload.make_order()
-        frame = order_to_bytes(order)
+        start = time.perf_counter_ns()
+        frame = order_to_bytes(workload.make_order())
         if recorder is not None:
             recorder.orders.append(frame)
+        results = exchange(frame)
+        if recorder is not None:
+            recorder.results.append(list(results))
+        t0 = time.perf_counter_ns()
+        workload.evaluate(workload.merge_results(results))
+        end = time.perf_counter_ns()
+        eval_ns.append(end - t0)
+        iter_ns.append(end - start)
+        if workload.exit_check():
+            return eval_ns, iter_ns
+
+
+def _run_sim(workload, setup, partition, timing: SimTiming, recorder: BsfRecorder | None):
+    """In-process exchange; the metrics are the closed-form ``timing`` charges."""
+    p_workers = len(partition)
+    states = [setup.init_state(w, tuple(part)) for w, part in enumerate(partition)]
+
+    def exchange(frame: bytes) -> list[WorkerResult]:
         results = []
         for w in range(p_workers):
             states[w], bests = setup.process_order(states[w], order_from_bytes(frame))
             results.append(WorkerResult(w, tuple(bests)))
-        if len(results) != p_workers:  # barrier: all results before evaluate
-            raise BsfWorkerError("missing worker results at barrier")
-        if recorder is not None:
-            recorder.results.append(list(results))
-        workload.evaluate(workload.merge_results(results))
-        iterations += 1
-        if workload.exit_check():
-            break
+        return results
+
+    _, iter_ns = _run(workload, exchange, recorder)
+    work_ns = [timing.work_ns_per_cohort * len(part) for part in partition]
     t_v = statistics.fmean(work_ns)
-    iter_ns = (p_workers * (timing.send_ns + timing.latency_ns) + max(work_ns)
-               + timing.latency_ns + p_workers * timing.recv_ns + timing.evaluate_ns)
     metrics = RunMetrics(
         p_workers=p_workers,
         latency_ns=timing.latency_ns,
@@ -263,9 +277,10 @@ def _run_sim(workload, p_workers: int, timing: SimTiming, recorder: BsfRecorder 
         t_r_ns=p_workers * timing.recv_ns,
         t_p_ns=timing.evaluate_ns,
         t_w_ns=p_workers * t_v,
-        iter_ns=iter_ns,
+        iter_ns=(p_workers * (timing.send_ns + timing.latency_ns) + max(work_ns)
+                 + timing.latency_ns + p_workers * timing.recv_ns + timing.evaluate_ns),
         t_v_spread_ns=float(max(work_ns) - min(work_ns)),
-        iterations=iterations,
+        iterations=len(iter_ns),
     )
     return workload.finalize(), metrics
 
@@ -276,7 +291,7 @@ def _run_sim(workload, p_workers: int, timing: SimTiming, recorder: BsfRecorder 
 def _worker_main(conn, worker_id: int, cohorts, setup_blob: bytes) -> None:
     try:
         setup = pickle.loads(setup_blob)
-        state = setup.init_state(worker_id, tuple(cohorts)) if setup is not None else None
+        state = setup.init_state(worker_id, tuple(cohorts))
         while True:
             msg = conn.recv_bytes()
             tag = msg[:1]
@@ -308,9 +323,10 @@ def _worker_main(conn, worker_id: int, cohorts, setup_blob: bytes) -> None:
 
 
 class _Pool:
-    """Spawned worker processes, one duplex pipe each."""
+    """Spawned worker processes, one duplex pipe each. Every pipe error on
+    the master side surfaces as ``BsfWorkerError``."""
 
-    def __init__(self, p_workers: int, partition, setup):
+    def __init__(self, partition, setup):
         import multiprocessing as mp
 
         # keep worker math on one BLAS thread: deterministic reductions and
@@ -322,13 +338,10 @@ class _Pool:
         self.conns = []
         self.procs = []
         children = []
-        for w in range(p_workers):
+        for w, part in enumerate(partition):
             parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child, w, tuple(partition[w]) if partition else (), blob),
-                daemon=True,
-            )
+            proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part), blob),
+                               daemon=True)
             proc.start()
             children.append(child)
             self.conns.append(parent)
@@ -336,25 +349,30 @@ class _Pool:
         for child in children:
             child.close()
 
+    def send(self, w: int, msg: bytes) -> None:
+        try:
+            self.conns[w].send_bytes(msg)
+        except OSError as exc:
+            raise BsfWorkerError(f"worker {w} pipe closed: {exc}") from exc
+
     def recv(self, w: int) -> bytes:
-        msg = self.conns[w].recv_bytes()
+        try:
+            msg = self.conns[w].recv_bytes()
+        except (EOFError, OSError) as exc:
+            self.procs[w].join(timeout=1)
+            raise BsfWorkerError(f"worker {w} exited before answering "
+                                 f"(exit code {self.procs[w].exitcode})") from exc
         if msg[:1] == ERROR_FRAME:
             raise BsfWorkerError(f"worker {w} failed:\n{msg[1:].decode(errors='replace')}")
         return msg
-
-    def check_alive(self) -> None:
-        for w, proc in enumerate(self.procs):
-            if not proc.is_alive() and proc.exitcode not in (0, None):
-                raise BsfWorkerError(f"worker {w} died with exit code {proc.exitcode}")
 
     def ping_latency_ns(self, rounds: int = 1000) -> float:
         """Median one-byte ping-pong round trip over worker 0, halved."""
         samples = []
         for _ in range(rounds):
             t0 = time.perf_counter_ns()
-            self.conns[0].send_bytes(PING_FRAME)
-            msg = self.recv(0)
-            if msg != PONG_FRAME:
+            self.send(0, PING_FRAME)
+            if self.recv(0) != PONG_FRAME:
                 raise BsfWorkerError("unexpected reply to ping")
             samples.append(time.perf_counter_ns() - t0)
         return statistics.median(samples) / 2.0
@@ -363,7 +381,7 @@ class _Pool:
         for conn in self.conns:
             try:
                 conn.send_bytes(STOP_FRAME)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
         for proc in self.procs:
             proc.join(timeout=10)
@@ -378,70 +396,39 @@ class _Pool:
                 pass
 
 
-def _run_pool(workload, p_workers: int, recorder: BsfRecorder | None, latency_rounds: int = 1000):
-    partition = block_partition(workload.cohort_count, p_workers)
-    setup = workload.init(p_workers, partition)
-    pool = _Pool(p_workers, partition, setup)
+def _run_pool(workload, setup, partition, recorder: BsfRecorder | None, latency_rounds: int):
+    """Pipe exchange; the metrics are measured on the master."""
+    from multiprocessing.connection import wait
+
+    p_workers = len(partition)
+    pool = _Pool(partition, setup)
     try:
         latency = pool.ping_latency_ns(latency_rounds)
-        send_ns: list[float] = []
-        recv_ns_total = 0.0
-        eval_ns: list[float] = []
-        iter_ns: list[float] = []
+        send_ns, recv_ns = [], []
         tv_by_worker = [[] for _ in range(p_workers)]
-        iterations = 0
-        while True:
-            iter_start = time.perf_counter_ns()
-            order = workload.make_order()
-            frame = ORDER_FRAME + order_to_bytes(order)
-            if recorder is not None:
-                recorder.orders.append(frame[1:])
+
+        def exchange(frame: bytes) -> list[WorkerResult]:
+            msg = ORDER_FRAME + frame
             for w in range(p_workers):
                 t0 = time.perf_counter_ns()
-                try:
-                    pool.conns[w].send_bytes(frame)
-                except (BrokenPipeError, OSError) as exc:
-                    pool.check_alive()
-                    raise BsfWorkerError(f"worker {w} pipe closed: {exc}") from exc
+                pool.send(w, msg)
                 send_ns.append(time.perf_counter_ns() - t0)
-            results, received = [None] * p_workers, 0
-            pending = set(range(p_workers))
-            idle_pause = 0.00002
+            results = [None] * p_workers
+            pending = dict(zip(pool.conns, range(p_workers)))
             while pending:
-                progressed = False
-                for w in sorted(pending):
-                    if pool.conns[w].poll(0):
-                        t0 = time.perf_counter_ns()
-                        msg = pool.recv(w)
-                        recv_ns_total += time.perf_counter_ns() - t0
-                        if msg[:1] != RESULT_FRAME:
-                            raise BsfWorkerError(f"unexpected frame {msg[:1]!r} from worker {w}")
-                        (t_v,) = struct.unpack_from("<Q", msg, 1)
-                        wid, bests = pickle.loads(msg[9:])
-                        tv_by_worker[w].append(t_v)
-                        results[w] = WorkerResult(wid, bests)
-                        pending.discard(w)
-                        received += 1
-                        progressed = True
-                if pending and not progressed:
-                    for w in sorted(pending):
-                        if not pool.procs[w].is_alive() and not pool.conns[w].poll(0):
-                            raise BsfWorkerError(
-                                f"worker {w} exited before answering "
-                                f"(exit code {pool.procs[w].exitcode})")
-                    time.sleep(idle_pause)
-                    idle_pause = min(idle_pause * 2, 0.0002)
-            if received != p_workers:  # barrier: evaluate only after all results
-                raise BsfWorkerError("barrier violated: missing results")
-            if recorder is not None:
-                recorder.results.append(list(results))
-            t0 = time.perf_counter_ns()
-            workload.evaluate(workload.merge_results(results))
-            eval_ns.append(time.perf_counter_ns() - t0)
-            iterations += 1
-            iter_ns.append(time.perf_counter_ns() - iter_start)
-            if workload.exit_check():
-                break
+                for conn in wait(list(pending)):
+                    w = pending.pop(conn)
+                    t0 = time.perf_counter_ns()
+                    reply = pool.recv(w)
+                    recv_ns.append(time.perf_counter_ns() - t0)
+                    if reply[:1] != RESULT_FRAME:
+                        raise BsfWorkerError(f"unexpected frame {reply[:1]!r} from worker {w}")
+                    (t_v,) = struct.unpack_from("<Q", reply, 1)
+                    tv_by_worker[w].append(t_v)
+                    results[w] = WorkerResult(*pickle.loads(reply[9:]))
+            return results
+
+        eval_ns, iter_ns = _run(workload, exchange, recorder)
         worker_means = [statistics.fmean(v) for v in tv_by_worker]
         t_v = statistics.fmean(worker_means)
         metrics = RunMetrics(
@@ -449,12 +436,12 @@ def _run_pool(workload, p_workers: int, recorder: BsfRecorder | None, latency_ro
             latency_ns=latency,
             t_s_ns=max(0.0, statistics.fmean(send_ns) - latency),
             t_v_ns=t_v,
-            t_r_ns=max(0.0, recv_ns_total / iterations - p_workers * latency),
+            t_r_ns=max(0.0, sum(recv_ns) / len(iter_ns) - p_workers * latency),
             t_p_ns=statistics.fmean(eval_ns),
             t_w_ns=p_workers * t_v,
             iter_ns=statistics.fmean(iter_ns),
             t_v_spread_ns=float(max(worker_means) - min(worker_means)),
-            iterations=iterations,
+            iterations=len(iter_ns),
         )
         return workload.finalize(), metrics
     finally:
@@ -481,9 +468,11 @@ def run_bsf(workload, p_workers: int, backend: str = "sequential-sim", *,
     if workload.cohort_count < p_workers:
         raise ValueError(
             f"worker count {p_workers} exceeds cohort count {workload.cohort_count}")
+    partition = block_partition(workload.cohort_count, p_workers)
+    setup = workload.init(p_workers, partition)
     if backend == "sequential-sim":
-        return _run_sim(workload, p_workers, sim_timing or SimTiming(), recorder)
-    return _run_pool(workload, p_workers, recorder, latency_rounds)
+        return _run_sim(workload, setup, partition, sim_timing or SimTiming(), recorder)
+    return _run_pool(workload, setup, partition, recorder, latency_rounds)
 
 
 class _NullSetup:
@@ -500,7 +489,7 @@ def measure_latency(backend: str = "sequential-sim", *, sim_timing: SimTiming | 
     backend = _BACKEND_ALIASES.get(backend, backend)
     if backend == "sequential-sim":
         return (sim_timing or SimTiming()).latency_ns
-    pool = _Pool(1, [[0]], _NullSetup())
+    pool = _Pool([[0]], _NullSetup())
     try:
         return pool.ping_latency_ns(rounds)
     finally:
@@ -520,7 +509,3 @@ class BsfExecutor:
         return run_bsf(workload, self.p_workers, self.backend,
                        sim_timing=self.sim_timing, recorder=recorder,
                        latency_rounds=self.latency_rounds)
-
-    def measure_latency(self) -> float:
-        return measure_latency(self.backend, sim_timing=self.sim_timing,
-                               rounds=self.latency_rounds)

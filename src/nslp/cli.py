@@ -92,7 +92,7 @@ def _build_problem(args, n: int, delta: float) -> NonStationaryLP:
     if args.problem_file:
         base = read_problem(args.problem_file)
     else:
-        base = model_n(n, seed=args.seed, theta=args.theta)
+        base = model_n(n, theta=args.theta)
     if args.drift == "none":
         drift = DriftSpec()
     elif args.drift == "translate":
@@ -128,32 +128,38 @@ def _cap_workers(workers: list[int]) -> list[int]:
 
 
 def _executor(args, p: int) -> BsfExecutor:
-    backend = {"sim": "sequential-sim", "pool": "worker-pool"}[args.backend]
-    return BsfExecutor(backend=backend, p_workers=p,
+    return BsfExecutor(backend=args.backend, p_workers=p,
                        sim_timing=SimTiming(latency_ns=args.latency_ns))
+
+
+def _session(args, default_backend: str):
+    """The preamble ``run`` and ``track`` share: a single ``--n``, the
+    problem, the capped worker list and the output directory. Returns
+    (problem, delta mode, custom delta, workers, out)."""
+    ns = _parse_ints(args.n, "dimension")
+    if len(ns) != 1:
+        raise argparse.ArgumentTypeError(f"{args.command} takes a single --n")
+    if args.iters < 1:
+        raise argparse.ArgumentTypeError("--iters must be >= 1")
+    if args.backend is None:
+        args.backend = default_backend
+    mode, frac, custom = _resolve_delta(args.delta, ns[0])
+    problem = _build_problem(args, ns[0], frac)
+    workers = _cap_workers(_parse_ints(args.workers, "worker"))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return problem, mode, custom, workers, out
 
 
 RESULTS_HEADER = "P,time_ns,speedup_meas,eff_meas,speedup_pred,eff_pred,bound"
 
 
 def cmd_run(args) -> int:
-    ns = _parse_ints(args.n, "dimension")
-    if len(ns) != 1:
-        raise argparse.ArgumentTypeError("run takes a single --n")
-    n = ns[0]
-    if args.iters < 1:
-        raise argparse.ArgumentTypeError("--iters must be >= 1")
-    if args.backend is None:
-        args.backend = "pool"
-    mode, frac, custom = _resolve_delta(args.delta, n)
-    problem = _build_problem(args, n, frac)
+    problem, mode, custom, workers, out = _session(args, "pool")
     n = problem.base.n
-    workers = _cap_workers(_parse_ints(args.workers, "worker"))
     bad = [p for p in workers if p < 1 or p > n]
     if bad:
         raise argparse.ArgumentTypeError(f"worker counts out of range [1, {n}]: {bad}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     quest = pseudo_project(problem, np.zeros(n), _quest_config(args), clock=problem.clock)
     cfg = _targeting_config(args)
@@ -197,25 +203,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_track(args) -> int:
-    ns = _parse_ints(args.n, "dimension")
-    if len(ns) != 1:
-        raise argparse.ArgumentTypeError("track takes a single --n")
-    n = ns[0]
-    if args.iters < 1:
-        raise argparse.ArgumentTypeError("--iters must be >= 1")
-    if args.backend is None:
-        args.backend = "sim"
-    mode, frac, custom = _resolve_delta(args.delta, n)
-    problem = _build_problem(args, n, frac)
+    problem, _, _, workers, out = _session(args, "sim")
     n = problem.base.n
-    workers = _cap_workers(_parse_ints(args.workers, "worker"))
     p = workers[0]
     if not 1 <= p <= n:
         raise argparse.ArgumentTypeError(f"worker count {p} out of range [1, {n}]")
     gap_mode = args.oracle_gap
     oracle_gap = gap_mode == "on" or (gap_mode == "auto" and n <= 12 and problem.base.m <= 100)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = np.zeros(n)
     if args.start == "near-opt":

@@ -205,7 +205,7 @@ class SparseDelta:
 EMPTY_DELTA = SparseDelta()
 
 
-def model_n(n: int, seed: int = 0, theta: float = DEFAULT_THETA) -> DenseLP:
+def model_n(n: int, theta: float = DEFAULT_THETA) -> DenseLP:
     """Scalable synthetic LP with n variables and 2(n+1) constraint rows.
 
     Rows are the box faces x_i <= theta and -x_i <= 0 plus the coupling pair
@@ -213,10 +213,8 @@ def model_n(n: int, seed: int = 0, theta: float = DEFAULT_THETA) -> DenseLP:
     c_i = n/(i+1)^2, so the unique optimum fills coordinates greedily until
     the coupling budget is exhausted; see ``model_n_optimum``.
 
-    The construction is deterministic; ``seed`` is accepted for interface
-    uniformity with the random generators and is unused.
+    The construction is deterministic.
     """
-    del seed
     n = _check_dimension(n)
     eye = np.eye(n)
     A = np.vstack([eye, -eye, np.ones((1, n)), -np.ones((1, n))])
@@ -358,12 +356,16 @@ def max_violation(lp: DenseLP, x: np.ndarray) -> float:
     """max(0, max_i(<A_i, x> - b_i), max_j(-x_j)); zero iff x is feasible.
 
     Comparisons are exact on the stored values: no epsilon is applied here
-    (tolerances belong to the solvers, not the data layer).
+    (tolerances belong to the solvers, not the data layer). A NaN residual,
+    such as ``0 * inf`` in ``A @ x``, is an infinite violation.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (lp.n,):
         raise ValueError(f"point has length {x.shape}, expected {lp.n}")
-    return max(0.0, float(np.max(lp.A @ x - lp.b)), float(np.max(-x)))
+    row, bound = float(np.max(lp.A @ x - lp.b)), float(np.max(-x))
+    if math.isnan(row + bound):
+        return math.inf
+    return max(0.0, row, bound)
 
 
 def write_problem(lp: DenseLP, path) -> None:

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,18 @@ class FailingWorkload:
 
     def finalize(self):
         return None
+
+
+class DyingSetup(FailingSetup):
+    """Worker-side setup whose process exits in the middle of an order."""
+
+    def process_order(self, state, order):
+        os._exit(3)
+
+
+class DyingWorkload(FailingWorkload):
+    def init(self, p_workers, partition):
+        return DyingSetup()
 
 
 # --- partitioning -----------------------------------------------------------
@@ -242,6 +257,23 @@ def test_sim_metrics_are_synthetic_and_deterministic():
 def test_worker_failure_aborts_with_diagnostic():
     with pytest.raises(BsfWorkerError, match="synthetic worker fault"):
         run_bsf(FailingWorkload(), 2, "worker-pool", latency_rounds=10)
+
+
+def test_worker_exit_mid_order_raises_worker_error_in_bounded_time():
+    outcome = []
+
+    def run():
+        try:
+            run_bsf(DyingWorkload(), 2, "worker-pool", latency_rounds=10)
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=10.0)
+    assert not runner.is_alive(), "dead worker hung the master"
+    assert len(outcome) == 1 and isinstance(outcome[0], BsfWorkerError), outcome
+    assert "exit code 3" in str(outcome[0])
 
 
 def test_worker_count_validation(unit_square):

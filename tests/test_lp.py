@@ -55,8 +55,8 @@ def test_model_n_bounded_and_full_dimensional(n):
     assert np.all(interior > 0)
 
 
-def test_model_n_deterministic_and_seed_ignored():
-    assert model_n(5, seed=1) == model_n(5, seed=99)
+def test_model_n_is_deterministic():
+    assert model_n(5) == model_n(5)
 
 
 # --- snapshots and drift -----------------------------------------------------

@@ -189,6 +189,14 @@ def test_overflowing_points_go_to_the_exact_check(unit_square):
                            _process_cohorts_exact(unit_square, cross, [0, 1]))
 
 
+def test_nan_residual_is_a_violation(unit_square):
+    # 0 * inf in A @ x is NaN: it must not read as a satisfied row
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert max_violation(unit_square, np.array([math.inf, 5.0])) != 0.0
+        bests = process_cohorts(unit_square, Cross(np.array([1.7e308, 5.0]), 1e308, 2), [0, 1])
+    assert [(b.cohort, b.point) for b in bests] == [(0, None), (1, None)]
+
+
 def test_evaluate_moves_to_centroid(unit_square):
     state = TargetingState(cross=_square_cross(), clock=0)
     bests = process_cohorts(unit_square, _square_cross(), [0, 1])
