@@ -122,6 +122,9 @@ def _cap_workers(workers: list[int]) -> list[int]:
     cap = int(cap)
     kept = [p for p in workers if p <= cap]
     dropped = [p for p in workers if p > cap]
+    if not kept:
+        raise argparse.ArgumentTypeError(
+            f"{THREAD_CAP_ENV}={cap} drops every worker count {dropped}")
     if dropped:
         print(f"note: {THREAD_CAP_ENV}={cap} drops worker counts {dropped}", file=sys.stderr)
     return kept

@@ -123,6 +123,16 @@ def _index_array(a) -> np.ndarray:
     return arr
 
 
+def _has_duplicates(a: np.ndarray) -> bool:
+    """Whether a 1-D array repeats a value. Sorting and comparing neighbours
+    is far cheaper than ``np.unique``; strictly increasing input, which is
+    what ``delta_between`` and ``_step_delta`` build, skips the sort."""
+    if (a[1:] > a[:-1]).all():
+        return False
+    s = np.sort(a)
+    return bool((s[1:] == s[:-1]).any())
+
+
 @dataclass(frozen=True, eq=False)
 class SparseDelta:
     """Sparse point updates turning one DenseLP into another.
@@ -153,13 +163,11 @@ class SparseDelta:
         if len(self.b_idx) != len(self.b_vals) or len(self.c_idx) != len(self.c_vals):
             raise ValueError("index/value arrays must have equal length")
         # duplicate positions within one delta are ill-defined
-        if len(self.a_rows):
-            enc = self.a_rows * (self.a_cols.max() + 1 if len(self.a_cols) else 1) + self.a_cols
-            if len(np.unique(enc)) != len(enc):
-                raise ValueError("duplicate A positions in delta")
-        for idx in (self.b_idx, self.c_idx):
-            if len(idx) and len(np.unique(idx)) != len(idx):
-                raise ValueError("duplicate positions in delta")
+        if len(self.a_rows) and _has_duplicates(
+                self.a_rows * (self.a_cols.max() + 1) + self.a_cols):
+            raise ValueError("duplicate A positions in delta")
+        if _has_duplicates(self.b_idx) or _has_duplicates(self.c_idx):
+            raise ValueError("duplicate positions in delta")
 
     @classmethod
     def from_changes(cls, a_changes=(), b_changes=(), c_changes=()) -> "SparseDelta":
@@ -274,11 +282,10 @@ def _step_delta(lp: DenseLP, drift: DriftSpec, k: int) -> SparseDelta:
     rng = np.random.default_rng([drift.seed & 0xFFFFFFFFFFFFFFFF, k])
     na, nb, nc = change_counts(drift.delta, lp.m, lp.n)
     flat = rng.choice(lp.m * lp.n, size=na, replace=False) if na else np.empty(0, dtype=np.int64)
-    rows, cols = np.divmod(flat.astype(np.int64), lp.n)
+    # the draw has no repeats, so sorting it orders the positions row-major
+    rows, cols = np.divmod(np.sort(flat).astype(np.int64), lp.n)
     bi = np.sort(rng.choice(lp.m, size=nb, replace=False)).astype(np.int64) if nb else np.empty(0, dtype=np.int64)
     ci = np.sort(rng.choice(lp.n, size=nc, replace=False)).astype(np.int64) if nc else np.empty(0, dtype=np.int64)
-    order = np.argsort(rows * lp.n + cols, kind="stable")
-    rows, cols = rows[order], cols[order]
     av = lp.A[rows, cols] + _nonzero_noise(rng, na, drift.magnitude)
     bv = lp.b[bi] + _nonzero_noise(rng, nb, drift.magnitude)
     cv = lp.c[ci] + _nonzero_noise(rng, nc, drift.magnitude)

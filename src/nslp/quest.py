@@ -3,6 +3,7 @@ polytope via a simultaneous Fejer relaxation process."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,26 +76,34 @@ def pseudo_project(
     start: np.ndarray,
     cfg: FejerConfig = FejerConfig(),
     clock: int = 0,
+    *,
+    lp: DenseLP | None = None,
 ) -> QuestResult:
     """Iterate the Fejer map until the residual drops to ``cfg.tolerance``.
 
     Every ``cfg.refresh_every`` iterations the clock advances one unit and
     the problem snapshot is re-read, so drift during the recovery is part
     of the process; the map self-corrects toward the moving polytope.
+    ``lp`` is the snapshot at ``clock`` when the caller already holds it;
+    without it the snapshot is replayed from the base.
     Returns the last iterate with its residual if the budget runs out
-    (non-convergence is reported, not raised).
+    (non-convergence is reported, not raised), and stops at once with
+    residual ``inf`` on an iterate with a non-finite coordinate.
     """
     if clock < 0:
         raise ValueError("clock must be nonnegative")
     x = np.array(start, dtype=np.float64)
     k = int(clock)
-    lp = snapshot(problem, k)
+    if lp is None:
+        lp = snapshot(problem, k)
     if x.shape != (lp.n,):
         raise ValueError(f"start has length {x.shape}, expected {lp.n}")
     for it in range(cfg.max_iterations):
         if it > 0 and it % cfg.refresh_every == 0:
             lp = advance(problem, lp, k)
             k += 1
+        if not np.isfinite(x).all():
+            return QuestResult(x, it, math.inf)
         residual = max_violation(lp, x)
         if residual <= cfg.tolerance:
             return QuestResult(x, it, residual)

@@ -296,6 +296,7 @@ class TargetingWorkload:
     def evaluate(self, bests: list[CohortBest]) -> None:
         lp = self.lp
         prev_clock = self.state.clock
+        next_lp = advance(self.problem, lp, prev_clock)
         state = evaluate(lp, self.state, bests)
         if state.stalls >= self.cfg.stall_limit:
             # The whole cross has been outside the polytope for a while:
@@ -307,7 +308,7 @@ class TargetingWorkload:
                                tolerance=max(self.cfg.quest.tolerance,
                                              self.cfg.spacing / 4.0))
             res = pseudo_project(self.problem, state.cross.center, recovery,
-                                 clock=state.clock)
+                                 clock=state.clock, lp=next_lp)
             state = replace(state, cross=recenter(state.cross, res.z), stalls=0)
             self.requests += 1
         center = state.cross.center
@@ -320,7 +321,7 @@ class TargetingWorkload:
                                   state.last_q_size))
         self.state = state
         self.done += 1
-        self.lp = advance(self.problem, self.lp, prev_clock)
+        self.lp = next_lp
 
     def exit_check(self) -> bool:
         return self.done >= self.iterations

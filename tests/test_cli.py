@@ -220,6 +220,19 @@ def test_thread_cap_env(tmp_path, monkeypatch, capsys):
     assert "drops worker counts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_thread_cap_dropping_every_worker_count_is_usage_error(command, tmp_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.setenv("NSLP_THREADS", "1")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "4", "--iters", "2", "--workers", "2",
+              "--backend", "sim", "--out", str(tmp_path / "capped")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "NSLP_THREADS=1" in err and "[2]" in err
+    assert not (tmp_path / "capped").exists()
+
+
 def test_parser_lists_required_flags():
     parser = build_parser()
     text = parser.format_help()

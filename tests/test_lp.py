@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nslp import (DenseLP, DriftSpec, NonStationaryLP, SparseDelta, apply_delta,
                   delta_between, max_violation, model_n, model_n_optimum,
                   objective_value, read_problem, snapshot, solve_simplex, write_problem)
-from nslp.lp import change_counts
+from nslp.lp import _nonzero_noise, _step_delta, change_counts
 
 
 # --- model_n ---------------------------------------------------------------
@@ -111,6 +111,37 @@ def test_random_sparse_change_accounting(delta):
         assert differing == na + nb + nc
 
 
+def _step_delta_by_argsort(lp, drift, k):
+    """The random-sparse step as first written: draw, split, then a stable
+    argsort of the positions. Kept as the reference for ``_step_delta``."""
+    rng = np.random.default_rng([drift.seed & 0xFFFFFFFFFFFFFFFF, k])
+    na, nb, nc = change_counts(drift.delta, lp.m, lp.n)
+    flat = rng.choice(lp.m * lp.n, size=na, replace=False) if na else np.empty(0, dtype=np.int64)
+    rows, cols = np.divmod(flat.astype(np.int64), lp.n)
+    bi = np.sort(rng.choice(lp.m, size=nb, replace=False)).astype(np.int64) if nb else np.empty(0, dtype=np.int64)
+    ci = np.sort(rng.choice(lp.n, size=nc, replace=False)).astype(np.int64) if nc else np.empty(0, dtype=np.int64)
+    order = np.argsort(rows * lp.n + cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    av = lp.A[rows, cols] + _nonzero_noise(rng, na, drift.magnitude)
+    bv = lp.b[bi] + _nonzero_noise(rng, nb, drift.magnitude)
+    cv = lp.c[ci] + _nonzero_noise(rng, nc, drift.magnitude)
+    return rows, cols, av, bi, bv, ci, cv
+
+
+@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("delta", [0.05, 1.0])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_step_delta_matches_the_argsort_construction(n, delta, seed):
+    drift = DriftSpec(kind="random-sparse", delta=delta, magnitude=1e-3, seed=seed)
+    lp = model_n(n)
+    for k in range(3):
+        d = _step_delta(lp, drift, k)
+        fields = (d.a_rows, d.a_cols, d.a_vals, d.b_idx, d.b_vals, d.c_idx, d.c_vals)
+        for got, want in zip(fields, _step_delta_by_argsort(lp, drift, k)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        lp = apply_delta(lp, d)
+
+
 def test_change_counts_one_row_regime_is_exact():
     for n in (100, 200, 400, 800):
         m = 2 * (n + 1)
@@ -178,6 +209,46 @@ def test_sparse_delta_rejects_duplicates():
         SparseDelta.from_changes(a_changes=[(0, 0, 1.0), (0, 0, 2.0)])
     with pytest.raises(ValueError):
         SparseDelta.from_changes(b_changes=[(1, 1.0), (1, 2.0)])
+
+
+def test_sparse_delta_rejects_unsorted_duplicates():
+    with pytest.raises(ValueError, match="duplicate A positions"):
+        SparseDelta(a_rows=[1, 0, 1], a_cols=[2, 0, 2], a_vals=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="duplicate positions"):
+        SparseDelta(b_idx=[3, 0, 3], b_vals=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="duplicate positions"):
+        SparseDelta(c_idx=[1, 0, 1], c_vals=[1.0, 2.0, 3.0])
+
+
+def test_sparse_delta_accepts_unsorted_unique_positions():
+    lp = model_n(3)
+    d = SparseDelta(a_rows=[1, 0, 1], a_cols=[2, 0, 0], a_vals=[5.0, 6.0, 7.0],
+                    b_idx=[2, 0, 1], b_vals=[8.0, 9.0, 10.0],
+                    c_idx=[1, 0], c_vals=[11.0, 12.0])
+    out = apply_delta(lp, d)
+    assert (out.A[1, 2], out.A[0, 0], out.A[1, 0]) == (5.0, 6.0, 7.0)
+    assert out.b[:3].tolist() == [9.0, 10.0, 8.0]
+    assert out.c[:2].tolist() == [12.0, 11.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8))
+def test_sparse_delta_duplicate_verdict_matches_set_semantics(pairs):
+    rows = [r for r, _ in pairs]
+    cols = [c for _, c in pairs]
+    repeated = len(set(pairs)) != len(pairs)
+    try:
+        SparseDelta(a_rows=rows, a_cols=cols, a_vals=[1.0] * len(pairs))
+    except ValueError:
+        assert repeated
+    else:
+        assert not repeated
+    try:
+        SparseDelta(b_idx=rows, b_vals=[1.0] * len(rows))
+    except ValueError:
+        assert len(set(rows)) != len(rows)
+    else:
+        assert len(set(rows)) == len(rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from nslp import (DenseLP, DriftSpec, FejerConfig, MalformedProblemError,
                   NonStationaryLP, fejer_step, max_violation, model_n,
-                  project_bruteforce, pseudo_project)
+                  project_bruteforce, pseudo_project, snapshot)
 
 
 def _one_dim() -> DenseLP:
@@ -141,6 +143,30 @@ def test_pseudo_project_tracks_translating_polytope(unit_square_explicit):
     clock_reached = res.iterations // cfg.refresh_every
     from nslp import snapshot
     assert max_violation(snapshot(p, clock_reached), res.z) <= 1e-9
+
+
+def test_pseudo_project_from_a_held_snapshot_matches_the_replay():
+    problem = NonStationaryLP(base=model_n(6), drift=DriftSpec(
+        kind="random-sparse", delta=1.0, magnitude=0.5, seed=9))
+    cfg = FejerConfig(tolerance=1e-6, refresh_every=3)
+    start = np.full(6, 400.0)
+    for k in (0, 4, 9):
+        replayed = pseudo_project(problem, start, cfg, clock=k)
+        held = pseudo_project(problem, start, cfg, clock=k, lp=snapshot(problem, k))
+        assert held.z.tobytes() == replayed.z.tobytes()
+        assert (held.iterations, held.residual) == (replayed.iterations, replayed.residual)
+        assert held.iterations > cfg.refresh_every  # the data drifted mid-recovery
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_returns_at_once(bad):
+    start = np.ones(50)
+    start[7] = bad
+    res = pseudo_project(NonStationaryLP(base=model_n(50)), start,
+                         FejerConfig(max_iterations=100_000))
+    assert res.iterations == 0
+    assert res.residual == math.inf
+    assert res.z.tobytes() == start.tobytes()
 
 
 def test_fejer_config_validation():

@@ -361,3 +361,45 @@ def test_workload_clock_advances_with_snapshot(unit_square_explicit):
     # each row was evaluated against the snapshot at its clock
     for r in trace.rows:
         assert r.residual == max_violation(snapshot(problem, r.clock), r.center)
+
+
+def _recovering_run():
+    """A random-sparse drift that loses the cross and recovers it several
+    times in 30 iterations."""
+    problem = NonStationaryLP(base=model_n(6), drift=DriftSpec(
+        kind="random-sparse", delta=1.0, magnitude=0.5, seed=9))
+    x, _ = model_n_optimum(6)
+    start = np.maximum(x - np.random.default_rng(3).uniform(0.0, 2.0, 6), 0.0)
+    cfg = TargetingConfig(points_per_cohort=4, spacing=1.0, stall_limit=3,
+                          quest=FejerConfig(refresh_every=5))
+    return problem, start, cfg
+
+
+def test_recovery_starts_from_the_held_snapshot(monkeypatch):
+    problem, start, cfg = _recovering_run()
+    replayed = []
+    real_pseudo_project = nslp.targeting.pseudo_project
+
+    def replaying(*args, lp=None, **kwargs):
+        replayed.append(lp is not None)
+        return real_pseudo_project(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(nslp.targeting, "pseudo_project", replaying)
+        reference = run_targeting(problem, start, cfg, 30, BsfExecutor())
+    assert reference.requests >= 1 and len(replayed) == reference.requests
+    assert all(replayed), "the workload should hand its snapshot to the recovery"
+
+    snapshots = []
+    real_snapshot = nslp.quest.snapshot
+
+    def counted(*args):
+        snapshots.append(args[1])
+        return real_snapshot(*args)
+
+    monkeypatch.setattr(nslp.quest, "snapshot", counted)
+    monkeypatch.setattr(nslp.targeting, "snapshot", counted)
+    trace = run_targeting(problem, start, cfg, 30, BsfExecutor())
+    assert trace.requests == reference.requests
+    assert snapshots == [problem.clock]  # the workload's initial snapshot only
+    assert trace.csv_text() == reference.csv_text()
