@@ -288,9 +288,9 @@ def _run_sim(workload, setup, partition, timing: SimTiming, recorder: BsfRecorde
 # --- worker pool ------------------------------------------------------------
 
 
-def _worker_main(conn, worker_id: int, cohorts, setup_blob: bytes) -> None:
+def _worker_main(conn, worker_id: int, cohorts) -> None:
     try:
-        setup = pickle.loads(setup_blob)
+        setup = pickle.loads(conn.recv_bytes())
         state = setup.init_state(worker_id, tuple(cohorts))
         while True:
             msg = conn.recv_bytes()
@@ -334,34 +334,50 @@ class _Pool:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, "1")
         ctx = mp.get_context("spawn")
-        blob = pickle.dumps(setup, protocol=pickle.HIGHEST_PROTOCOL)
         self.conns = []
         self.procs = []
         children = []
-        for w, part in enumerate(partition):
-            parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part), blob),
-                               daemon=True)
-            proc.start()
-            children.append(child)
-            self.conns.append(parent)
-            self.procs.append(proc)
-        for child in children:
-            child.close()
+        try:
+            for w, part in enumerate(partition):
+                parent, child = ctx.Pipe(duplex=True)
+                self.conns.append(parent)
+                children.append(child)
+                proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part)),
+                                   daemon=True)
+                proc.start()
+                self.procs.append(proc)
+            for child in children:
+                child.close()
+            # the setup goes out as each worker's first frame once all have
+            # started: start() stays cheap, the workers boot side by side, and
+            # a child that dies at bootstrap breaks its pipe instead of
+            # blocking the master
+            blob = pickle.dumps(setup, protocol=pickle.HIGHEST_PROTOCOL)
+            for w in range(len(self.conns)):
+                self.send(w, blob)
+        except BaseException:
+            for child in children:
+                child.close()
+            self.shutdown()
+            raise
+
+    def _exit_code(self, w: int):
+        self.procs[w].join(timeout=1)
+        return self.procs[w].exitcode
 
     def send(self, w: int, msg: bytes) -> None:
         try:
             self.conns[w].send_bytes(msg)
         except OSError as exc:
-            raise BsfWorkerError(f"worker {w} pipe closed: {exc}") from exc
+            raise BsfWorkerError(f"worker {w} pipe closed: {exc} "
+                                 f"(exit code {self._exit_code(w)})") from exc
 
     def recv(self, w: int) -> bytes:
         try:
             msg = self.conns[w].recv_bytes()
         except (EOFError, OSError) as exc:
-            self.procs[w].join(timeout=1)
             raise BsfWorkerError(f"worker {w} exited before answering "
-                                 f"(exit code {self.procs[w].exitcode})") from exc
+                                 f"(exit code {self._exit_code(w)})") from exc
         if msg[:1] == ERROR_FRAME:
             raise BsfWorkerError(f"worker {w} failed:\n{msg[1:].decode(errors='replace')}")
         return msg

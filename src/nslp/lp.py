@@ -322,6 +322,8 @@ def snapshot(problem: NonStationaryLP, k: int) -> DenseLP:
 
 def delta_between(prev: DenseLP, next_lp: DenseLP) -> SparseDelta:
     """Minimal delta such that ``apply_delta(prev, d)`` equals next exactly."""
+    if prev is next_lp:  # a stationary ``advance`` hands back the same problem
+        return EMPTY_DELTA
     if prev.A.shape != next_lp.A.shape:
         raise ValueError(f"shape mismatch: {prev.A.shape} vs {next_lp.A.shape}")
     ar, ac = np.nonzero(prev.A != next_lp.A)

@@ -91,7 +91,9 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) ->
     ok &= (zero_over == 0)[:, None]
     a = A[ri, cols[ci]]
     r0_nz = r0[ri]
-    rows, row_of = np.unique(ri, return_inverse=True)
+    new_row = np.diff(ri, prepend=-1) != 0  # ri comes sorted from np.nonzero
+    rows = ri[new_row]
+    row_of = np.cumsum(new_row) - 1
     mag = A[rows]
     np.abs(mag, out=mag)
     scale = (mag @ np.abs(center) + np.abs(lp.b[rows]))[row_of]

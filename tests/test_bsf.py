@@ -1,15 +1,23 @@
+import multiprocessing
 import os
+import re
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nslp
 from nslp import (BsfExecutor, BsfRecorder, BsfWorkerError, Cross, DriftSpec,
                   NonStationaryLP, Order, SimTiming, SparseDelta, apply_delta,
                   block_partition, evaluate, make_order, measure_latency, model_n,
                   model_n_optimum, order_from_bytes, order_to_bytes,
                   process_cohorts, replay_orders, run_bsf, run_targeting, snapshot)
-from nslp.bsf import WorkerResult, load_order_stream, save_order_stream
+from nslp.bsf import (WorkerResult, _NullSetup, _Pool, load_order_stream,
+                      save_order_stream)
 from nslp.targeting import TargetingConfig, TargetingState, TargetingWorkload
 
 
@@ -55,6 +63,18 @@ class DyingSetup(FailingSetup):
 class DyingWorkload(FailingWorkload):
     def init(self, p_workers, partition):
         return DyingSetup()
+
+
+class FailingInitSetup(FailingSetup):
+    """Worker-side setup whose state construction raises."""
+
+    def init_state(self, worker_id, cohorts):
+        raise RuntimeError("synthetic init fault")
+
+
+class FailingInitWorkload(FailingWorkload):
+    def init(self, p_workers, partition):
+        return FailingInitSetup()
 
 
 # --- partitioning -----------------------------------------------------------
@@ -259,21 +279,67 @@ def test_worker_failure_aborts_with_diagnostic():
         run_bsf(FailingWorkload(), 2, "worker-pool", latency_rounds=10)
 
 
-def test_worker_exit_mid_order_raises_worker_error_in_bounded_time():
+def _pool_failure(workload) -> BsfWorkerError:
+    """Run ``workload`` on two pool workers; the ``BsfWorkerError`` it must
+    raise within 10 s."""
     outcome = []
 
     def run():
         try:
-            run_bsf(DyingWorkload(), 2, "worker-pool", latency_rounds=10)
+            run_bsf(workload, 2, "worker-pool", latency_rounds=10)
         except Exception as exc:
             outcome.append(exc)
 
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
     runner.join(timeout=10.0)
-    assert not runner.is_alive(), "dead worker hung the master"
+    assert not runner.is_alive(), "a failing worker hung the master"
     assert len(outcome) == 1 and isinstance(outcome[0], BsfWorkerError), outcome
-    assert "exit code 3" in str(outcome[0])
+    return outcome[0]
+
+
+def test_worker_exit_mid_order_raises_worker_error_in_bounded_time():
+    assert "exit code 3" in str(_pool_failure(DyingWorkload()))
+
+
+def test_init_state_failure_raises_worker_error_with_its_message():
+    assert "synthetic init fault" in str(_pool_failure(FailingInitWorkload()))
+
+
+def test_failed_setup_send_stops_the_started_workers(monkeypatch):
+    real_send = _Pool.send
+
+    def send(self, w, msg):
+        if w == 1:
+            raise BsfWorkerError("synthetic send fault")
+        real_send(self, w, msg)
+
+    monkeypatch.setattr(_Pool, "send", send)
+    with pytest.raises(BsfWorkerError, match="synthetic send fault"):
+        _Pool([[0], [1]], _NullSetup())
+    assert multiprocessing.active_children() == []
+
+
+def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):
+    # every spawned child re-runs the unguarded script and dies at bootstrap,
+    # while the master still has a 2.5 MB setup to send it
+    script = tmp_path / "driver.py"
+    script.write_text(textwrap.dedent("""\
+        import numpy as np
+        from nslp import BsfExecutor, NonStationaryLP, TargetingConfig, model_n, run_targeting
+
+        n = 400
+        run_targeting(NonStationaryLP(base=model_n(n)), np.ones(n),
+                      TargetingConfig(points_per_cohort=2, spacing=1.0), 1,
+                      BsfExecutor("worker-pool", 2, latency_rounds=10))
+        """))
+    src = str(Path(nslp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(script)], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "BsfWorkerError" in done.stderr
+    assert re.search(r"exit code 1\b", done.stderr), done.stderr
 
 
 def test_worker_count_validation(unit_square):

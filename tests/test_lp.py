@@ -166,9 +166,11 @@ def test_drift_spec_validation():
 
 
 def test_delta_between_identity(unit_square):
-    d = delta_between(unit_square, unit_square)
-    assert d.is_empty()
-    assert apply_delta(unit_square, d) == unit_square
+    equal_copy = DenseLP(unit_square.A.copy(), unit_square.b.copy(), unit_square.c.copy())
+    for nxt in (unit_square, equal_copy):
+        d = delta_between(unit_square, nxt)
+        assert d.is_empty()
+        assert apply_delta(unit_square, d) == unit_square
 
 
 def test_delta_between_single_entry():

@@ -165,6 +165,13 @@ def test_screened_cohorts_match_the_exact_loop(seed, kind, k):
                            _process_cohorts_exact(lp, cross, cohorts))
 
 
+def test_cohort_on_an_all_zero_column_matches_the_exact_loop():
+    # no row of A touches x_1, so the screen sees no nonzero entry at all
+    lp = DenseLP(A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.array([1.0, 3.0]), c=np.ones(2))
+    cross = Cross(np.array([0.5, 0.5]), 0.25, 4)
+    _assert_same_bests(process_cohorts(lp, cross, [1]), _process_cohorts_exact(lp, cross, [1]))
+
+
 def test_point_landing_on_a_face_goes_to_the_exact_check(unit_square, monkeypatch):
     # the offset +2 points sit exactly on x_i <= 1, where the rank-1
     # estimate reads 0 and cannot be trusted; everything else is screened
