@@ -1,5 +1,5 @@
-"""Desk-scale ground truth: a dense two-phase simplex solver and a
-brute-force Euclidean projection, used by tests and trace gap columns."""
+"""Desk-scale ground truth: the exact LP optimum from HiGHS's dual simplex
+and a brute-force Euclidean projection, used by tests and trace gap columns."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import DenseLP, max_violation
-
-_TOL = 1e-9
-_SIZE_LIMIT = 500
-_MAX_PIVOTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -30,97 +26,22 @@ class SimplexResult:
 
 
 def solve_simplex(lp: DenseLP) -> SimplexResult:
-    """Dense two-phase simplex with Bland's rule on max <c,x>, Ax <= b, x >= 0.
+    """Solve max <c,x>, Ax <= b, x >= 0 with HiGHS's dual simplex, which
+    returns a vertex.
 
-    Bland's entering/leaving rule makes cycling impossible, at the cost of
-    speed; acceptable at the enforced desk scale (m, n <= 500).
+    scipy is imported here, not at module level: every farm worker imports
+    nslp, and scipy.optimize would add about half a second to its boot.
     """
-    if lp.m > _SIZE_LIMIT or lp.n > _SIZE_LIMIT:
-        raise ValueError(f"solver is desk-scale only (m, n <= {_SIZE_LIMIT})")
-    m, n = lp.m, lp.n
+    from scipy.optimize import linprog
 
-    neg = lp.b < 0.0
-    n_art = int(neg.sum())
-    # columns: n structural, m slacks, n_art artificials
-    T = np.hstack([lp.A, np.eye(m)])
-    rhs = lp.b.copy()
-    T[neg] *= -1.0
-    rhs[neg] *= -1.0
-    if n_art:
-        art_cols = np.zeros((m, n_art))
-        art_cols[np.nonzero(neg)[0], np.arange(n_art)] = 1.0
-        T = np.hstack([T, art_cols])
-    basis = np.where(neg, 0, n + np.arange(m)).astype(np.int64)
-    basis[neg] = n + m + np.arange(n_art)
-
-    pivots = 0
-
-    def run_phase(cost: np.ndarray) -> tuple[str, int]:
-        nonlocal T, rhs, basis, pivots
-        while True:
-            red = cost - cost[basis] @ T
-            red[basis] = 0.0
-            entering = -1
-            for j in range(T.shape[1]):  # Bland: lowest improving index
-                if red[j] < -_TOL:
-                    entering = j
-                    break
-            if entering < 0:
-                return "optimal", pivots
-            col = T[:, entering]
-            rows = np.nonzero(col > _TOL)[0]
-            if len(rows) == 0:
-                return "unbounded", pivots
-            ratios = rhs[rows] / col[rows]
-            best = ratios.min()
-            tied = rows[ratios <= best + _TOL]
-            leaving = tied[np.argmin(basis[tied])]  # Bland: lowest basic index
-            _pivot(T, rhs, basis, leaving, entering)
-            pivots += 1
-            if pivots > _MAX_PIVOTS:
-                raise RuntimeError("pivot budget exceeded")
-
-    if n_art:
-        phase1_cost = np.zeros(T.shape[1])
-        phase1_cost[n + m:] = 1.0
-        run_phase(phase1_cost)  # bounded below by zero, never unbounded
-        if phase1_cost[basis] @ rhs > 1e-7:
-            return SimplexResult("infeasible", iterations=pivots)
-        # drive residual artificials out of the basis, dropping redundant rows
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= n + m:
-                sub = np.abs(T[r, : n + m])
-                j = int(np.argmax(sub))
-                if sub[j] > _TOL:
-                    _pivot(T, rhs, basis, r, j)
-                    pivots += 1
-                else:
-                    keep[r] = False
-        T, rhs, basis = T[keep], rhs[keep], basis[keep]
-        T = T[:, : n + m]
-
-    phase2_cost = np.concatenate([-lp.c, np.zeros(T.shape[1] - n)])
-    status, _ = run_phase(phase2_cost)
-    if status == "unbounded":
-        return SimplexResult("unbounded", iterations=pivots)
-    x_full = np.zeros(T.shape[1])
-    x_full[basis] = rhs
-    x = np.maximum(x_full[:n], 0.0)  # clamp pivot dust on active bounds
-    if max_violation(lp, x) > 1e-9:
-        raise RuntimeError("simplex terminated with an infeasible certificate")
-    return SimplexResult("optimal", x, float(np.dot(lp.c, x)), pivots)
-
-
-def _pivot(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    piv = T[r, j]
-    T[r] /= piv
-    rhs[r] /= piv
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    rhs -= col * rhs[r]
-    basis[r] = j
+    res = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs-ds")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    if status is None:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    if status != "optimal":
+        return SimplexResult(status, iterations=res.nit)
+    x = np.maximum(res.x, 0.0)  # clamp solver dust on active bounds
+    return SimplexResult("optimal", x, float(np.dot(lp.c, x)), res.nit)
 
 
 def project_bruteforce(lp: DenseLP, x: np.ndarray) -> np.ndarray:

@@ -190,6 +190,18 @@ def test_track_near_optimum_meets_oracle_gap_bound(tmp_path, capsys):
     assert 0.0 <= gap <= bound
 
 
+def test_track_oracle_gap_under_random_drift(tmp_path, capsys):
+    # every snapshot over 60 steps of the random-drift scenario is feasible,
+    # so the oracle must give each row a finite gap
+    out = tmp_path / "drift"
+    assert _run(["track", "--n", "50", "--drift", "random", "--oracle-gap", "on",
+                 "--iters", "60", "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "trace.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 60
+    assert all(np.isfinite(float(r.split(",")[-1])) for r in rows)
+
+
 def test_track_near_opt_rejects_problem_file(tmp_path):
     path = tmp_path / "prob.txt"
     write_problem(model_n(4), path)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog as scipy_linprog
 
-from nslp import (DenseLP, max_violation, model_n, model_n_optimum,
-                  project_bruteforce, solve_simplex)
-
-scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+import nslp
+from nslp import (DenseLP, DriftSpec, NonStationaryLP, max_violation, model_n,
+                  model_n_optimum, project_bruteforce, snapshot, solve_simplex)
+from nslp.cost_model import delta_fraction
 
 
 def test_unit_square_optimum(unit_square):
@@ -34,7 +40,7 @@ def test_model_n_agreement():
         assert np.allclose(res.x_opt, x, atol=1e-8)
 
 
-def test_negative_rhs_goes_through_phase_one(unit_square_explicit):
+def test_negative_rhs(unit_square_explicit):
     # the square translated to [3,4] x [0,1]: b has negative components
     b = np.array([4.0, 1.0, -3.0, 0.0])
     lp = DenseLP(unit_square_explicit.A, b, unit_square_explicit.c)
@@ -66,8 +72,8 @@ def test_against_scipy_on_random_instances(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_degenerate_instances_against_scipy(seed):
-    # zero right-hand sides and duplicated rows: the territory Bland's rule
-    # exists for (no cycling, ties everywhere)
+    # zero right-hand sides and duplicated rows: degenerate vertices with
+    # ties everywhere, where a simplex can cycle or stall
     rng = np.random.default_rng(1000 + seed)
     m = int(rng.integers(2, 7))
     n = int(rng.integers(2, 6))
@@ -155,12 +161,6 @@ def test_projection_infeasible_region():
         project_bruteforce(lp, np.array([0.0, 0.0]))
 
 
-def test_simplex_size_guard():
-    lp = DenseLP(np.ones((1, 501)), np.ones(1), np.ones(501))
-    with pytest.raises(ValueError):
-        solve_simplex(lp)
-
-
 def test_solve_fixture_from_text_format(tmp_path):
     from nslp import model_n, read_problem, write_problem
 
@@ -170,3 +170,33 @@ def test_solve_fixture_from_text_format(tmp_path):
     _, value = model_n_optimum(5)
     assert res.status == "optimal"
     assert abs(res.value - value) <= 1e-9
+
+
+def _cli_drift_scenario() -> NonStationaryLP:
+    # what `nslp track --n 50 --drift random --seed 1` tracks
+    return NonStationaryLP(model_n(50), DriftSpec("random-sparse",
+                                                  delta=delta_fraction("one-row", 50),
+                                                  magnitude=1.0, seed=1))
+
+
+def test_feasible_drifted_snapshot_is_solved():
+    lp = snapshot(_cli_drift_scenario(), 50)
+    res = solve_simplex(lp)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(4100.66, abs=0.01)
+    assert max_violation(lp, res.x_opt) <= 1e-9
+
+
+def test_drifted_out_snapshot_is_infeasible():
+    assert solve_simplex(snapshot(_cli_drift_scenario(), 100)).status == "infeasible"
+
+
+def test_importing_nslp_leaves_scipy_unloaded():
+    # every farm worker imports nslp; scipy would lengthen each worker's boot
+    src = str(Path(nslp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import nslp, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
