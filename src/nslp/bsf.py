@@ -5,8 +5,9 @@ a full barrier.
 One master loop drives both backends, which differ only in how an order
 frame reaches the workers and their results come back, and must produce
 identical outputs: ``sequential-sim`` runs everything in-process with a
-deterministic synthetic clock, ``worker-pool`` runs workers in spawned
-processes connected by pipes and reports measured timings.
+deterministic synthetic clock, ``worker-pool`` runs workers in processes
+forked from a fork server that has numpy and nslp preloaded (so it needs a
+POSIX start method), connected by pipes, and reports measured timings.
 
 Workload protocol (duck-typed):
 
@@ -27,6 +28,7 @@ order stream bit-reproduces the results.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import statistics
@@ -322,18 +324,40 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
             pass
 
 
+@functools.cache
+def _pool_context():
+    """The start method of every pool in this process: one fork server,
+    started at the first pool, that forks each worker with numpy and nslp
+    already imported. It never imports the driver's ``__main__``, and it is
+    stopped and reaped when this process exits."""
+    import multiprocessing as mp
+    from multiprocessing import forkserver, util
+
+    # workers inherit the server's environment, not the master's: keep their
+    # math on one BLAS thread (deterministic reductions, no oversubscription
+    # underneath the process-level parallelism) before the server starts
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    # the server does not take the master's sys.path: point it at this nslp,
+    # unless that sits in a site directory a fresh interpreter searches anyway
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if os.path.basename(root) not in ("site-packages", "dist-packages"):
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")]))
+    ctx = mp.get_context("forkserver")
+    ctx.set_forkserver_preload(["numpy", "nslp"])
+    # priority < 0 runs after multiprocessing has joined the live children
+    util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
+    return ctx
+
+
 class _Pool:
-    """Spawned worker processes, one duplex pipe each. Every pipe error on
-    the master side surfaces as ``BsfWorkerError``."""
+    """Worker processes forked by the fork server, one duplex pipe each.
+    Every start or pipe error on the master side surfaces as
+    ``BsfWorkerError``."""
 
     def __init__(self, partition, setup):
-        import multiprocessing as mp
-
-        # keep worker math on one BLAS thread: deterministic reductions and
-        # no oversubscription underneath the process-level parallelism
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
-        ctx = mp.get_context("spawn")
+        ctx = _pool_context()
         self.conns = []
         self.procs = []
         children = []
@@ -344,7 +368,10 @@ class _Pool:
                 children.append(child)
                 proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part)),
                                    daemon=True)
-                proc.start()
+                try:
+                    proc.start()
+                except (EOFError, OSError) as exc:
+                    raise BsfWorkerError(f"worker {w} did not start: {exc!r}") from exc
                 self.procs.append(proc)
             for child in children:
                 child.close()

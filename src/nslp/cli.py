@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_track = sub.add_parser("track", help="run one tracking session and dump its trace")
     _add_common(p_track, n_default=6)
     p_track.add_argument("--oracle-gap", choices=("auto", "on", "off"), default="auto",
-                         help="add the gap to the exact optimum to the trace "
-                              "(auto: only at desk scale)")
+                         help="add the gap to the exact optimum to the trace, NaN "
+                              "where the snapshot has none (auto: only at desk scale)")
     p_track.add_argument("--start", choices=("origin", "near-opt"), default="origin",
                          help="recovery-phase start point: the origin, or a "
                               "seeded point beside the synthetic family's known "

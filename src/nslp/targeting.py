@@ -332,13 +332,13 @@ class TargetingWorkload:
         return TrackingTrace(rows=self.rows, requests=self.requests)
 
     def _optimum(self, clock: int) -> float:
+        """The snapshot's exact optimum; NaN where it has none (infeasible or
+        unbounded), so that row's gap reads NaN as when the gap is off."""
         if clock not in self._opt_cache:
             from .oracle import solve_simplex
 
             res = solve_simplex(self.lp)
-            if res.status != "optimal":
-                raise ValueError(f"oracle gap unavailable: snapshot is {res.status}")
-            self._opt_cache[clock] = res.value
+            self._opt_cache[clock] = res.value if res.status == "optimal" else math.nan
         return self._opt_cache[clock]
 
 

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import re
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from multiprocessing.context import ForkServerProcess
 from pathlib import Path
 
 import numpy as np
@@ -320,8 +322,100 @@ def test_failed_setup_send_stops_the_started_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("fault", [EOFError, OSError])
+def test_failed_worker_start_stops_the_started_workers(monkeypatch, fault):
+    # a dead or unreachable fork server fails Process.start() this way
+    real_start = ForkServerProcess.start
+
+    def start(self):
+        if self._args[1] == 1:  # _worker_main(conn, worker_id, cohorts)
+            raise fault("synthetic fork server fault")
+        real_start(self)
+
+    monkeypatch.setattr(ForkServerProcess, "start", start)
+    with pytest.raises(BsfWorkerError, match="worker 1 did not start.*synthetic fork server"):
+        _Pool([[0], [1]], _NullSetup())
+    assert multiprocessing.active_children() == []
+
+
+def _run_driver(script, env=os.environ):
+    """Run ``script`` in a fresh interpreter that imports this nslp."""
+    src = str(Path(nslp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(script)], env={**env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(scope="module")
+def two_pool_runs(tmp_path_factory):
+    """A driver, started without the BLAS variables, makes two pool runs.
+    Per run: the driver's pid and each worker's (parent pid,
+    OPENBLAS_NUM_THREADS)."""
+    script = tmp_path_factory.mktemp("probe") / "driver.py"
+    script.write_text(textwrap.dedent("""\
+        import json, os
+        import numpy as np
+        from nslp import Order, SparseDelta, run_bsf
+
+        class ProbeSetup:
+            def init_state(self, worker_id, cohorts):
+                return None
+
+            def process_order(self, state, order):
+                return None, (os.getppid(), os.environ.get("OPENBLAS_NUM_THREADS"))
+
+        class ProbeWorkload:
+            cohort_count = 2
+
+            def init(self, p_workers, partition):
+                return ProbeSetup()
+
+            def make_order(self):
+                return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
+
+            def merge_results(self, results):
+                return [list(r.bests) for r in results]
+
+            def evaluate(self, merged):
+                self.seen = merged
+
+            def exit_check(self):
+                return True
+
+            def finalize(self):
+                return self.seen
+
+        if __name__ == "__main__":
+            for _ in range(2):
+                seen, _ = run_bsf(ProbeWorkload(), 2, "worker-pool", latency_rounds=1)
+                print(json.dumps({"master": os.getpid(), "workers": seen}), flush=True)
+        """))
+    done = _run_driver(script, {k: v for k, v in os.environ.items() if k not in _BLAS_VARS})
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_one_fork_server_per_process_is_gone_at_exit(two_pool_runs):
+    assert len(two_pool_runs) == 2
+    servers = {ppid for run in two_pool_runs for ppid, _ in run["workers"]}
+    assert len(servers) == 1, two_pool_runs
+    (server,) = servers
+    assert server != two_pool_runs[0]["master"]
+    # stopped and reaped by the driver itself, not left as a zombie
+    with pytest.raises(ProcessLookupError):
+        os.kill(server, 0)
+
+
+def test_pool_workers_run_one_blas_thread(two_pool_runs):
+    # byte-identical traces rely on single-threaded reductions in the workers
+    assert {blas for run in two_pool_runs for _, blas in run["workers"]} == {"1"}
+
+
 def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):
-    # every spawned child re-runs the unguarded script and dies at bootstrap,
+    # every worker re-runs the unguarded script as it starts and dies there,
     # while the master still has a 2.5 MB setup to send it
     script = tmp_path / "driver.py"
     script.write_text(textwrap.dedent("""\
@@ -333,10 +427,7 @@ def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):
                       TargetingConfig(points_per_cohort=2, spacing=1.0), 1,
                       BsfExecutor("worker-pool", 2, latency_rounds=10))
         """))
-    src = str(Path(nslp.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(script)], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
+    done = _run_driver(script)
     assert done.returncode != 0
     assert "BsfWorkerError" in done.stderr
     assert re.search(r"exit code 1\b", done.stderr), done.stderr

@@ -344,6 +344,19 @@ def test_trace_csv_shape(unit_square):
     assert trace.rows[-1].oracle_gap == pytest.approx(2.0 - trace.rows[-1].objective)
 
 
+def test_oracle_gap_is_nan_where_the_snapshot_is_infeasible(unit_square_explicit):
+    # the box slides off the nonnegative orthant: snapshots from clock 3 on
+    # are infeasible, and the run still finishes with a NaN gap on those rows
+    problem = NonStationaryLP(base=unit_square_explicit,
+                              drift=DriftSpec(kind="translate",
+                                              translate_vector=np.array([-0.4, 0.0])))
+    cfg = TargetingConfig(points_per_cohort=4, spacing=0.25, oracle_gap=True)
+    trace = run_targeting(problem, np.array([0.5, 0.5]), cfg, 5, BsfExecutor())
+    assert [r.clock for r in trace.rows] == [0, 1, 2, 3, 4]
+    assert all(math.isfinite(r.oracle_gap) for r in trace.rows[:3])
+    assert all(math.isnan(r.oracle_gap) for r in trace.rows[3:])
+
+
 def test_run_targeting_validation(unit_square):
     problem = NonStationaryLP(base=unit_square)
     cfg = TargetingConfig(points_per_cohort=4, spacing=0.25)
