@@ -3,7 +3,9 @@ equally spaced collinear points along each coordinate axis."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -20,8 +22,8 @@ class Cross:
         center = _readonly(self.center)
         if center.ndim != 1 or center.shape[0] < 2:
             raise ValueError("cross dimension must be >= 2")
-        if self.spacing <= 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         k = self.points_per_cohort
         if int(k) != k or k < 2 or k % 2 != 0:
             raise ValueError(f"points per cohort must be an even integer >= 2, got {k!r}")
@@ -92,11 +94,16 @@ def markers(cross: Cross) -> list[Marker]:
     return [Marker(chi, eta) for chi in range(cross.dimension) for eta in offs]
 
 
+@cache
+def _cohort_markers(k: int, chi: int) -> tuple[Marker, ...]:
+    return tuple(Marker(chi, eta) for eta in _offsets(k))
+
+
 def cohort_markers(cross: Cross, chi: int) -> list[Marker]:
     """The K markers of one cohort, offsets ascending."""
     if not 0 <= chi < cross.dimension:
         raise ValueError(f"cohort {chi} out of range for dimension {cross.dimension}")
-    return [Marker(chi, eta) for eta in _offsets(cross.points_per_cohort)]
+    return list(_cohort_markers(cross.points_per_cohort, chi))
 
 
 def recenter(cross: Cross, new_center: np.ndarray) -> Cross:

@@ -93,8 +93,8 @@ class DriftSpec:
             raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-        if self.magnitude < 0.0:
-            raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
+        if not 0.0 <= self.magnitude < math.inf:
+            raise ValueError(f"magnitude must be nonnegative and finite, got {self.magnitude}")
         if self.kind == "translate":
             if self.translate_vector is None:
                 raise ValueError("translate drift requires translate_vector")

@@ -26,8 +26,8 @@ class FejerConfig:
     def __post_init__(self):
         if not 0.0 < self.relaxation < 2.0:
             raise ValueError(f"relaxation must lie in (0, 2), got {self.relaxation}")
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be nonnegative")
+        if not self.tolerance >= 0.0:
+            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.refresh_every < 1:

@@ -111,6 +111,39 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) ->
     return np.where(ok, np.where(unsure, _UNSURE, _FEASIBLE), _INFEASIBLE).astype(np.int8)
 
 
+def _value_candidates(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
+                      verdicts: np.ndarray) -> np.ndarray:
+    """Which points of the (cohorts, steps) grid may hold their cohort's
+    best value, from one ``c @ center`` for all of them.
+
+    A point on axis ``j`` with move ``t`` has the rank-1 value estimate
+    ``est = c @ center + c_j * t``. It and the exact ``objective_value``
+    each lie within ``(n+2)(eps/2) * (|c|@|center| + |c_j t|)`` of the true
+    value, so the guard ``2(n+2)eps * (|c|@|center| + |c_j t|) + tiny`` is
+    twice their distance and also covers rounding in the comparisons.
+    Each cohort's floor is the largest ``est - guard`` among its _FEASIBLE
+    points, which no exact best falls below; a point whose ``est + guard``
+    is below the floor is strictly worse than that best and can neither
+    win nor tie. _INFEASIBLE points are never candidates. A value that is
+    not finite, or a bound within a factor two of overflow, makes every
+    other point a candidate.
+    """
+    center = cross.center
+    cols = np.asarray(cohorts, dtype=np.intp)
+    c = center[cols, None]
+    ct = lp.c[cols, None] * ((c + steps) - c)
+    est = lp.c @ center + ct
+    bound = np.abs(lp.c) @ np.abs(center) + np.abs(ct)
+    maybe = verdicts != _INFEASIBLE
+    f64 = np.finfo(np.float64)
+    # below half the largest float, no partial sum of the exact product overflows
+    if not (np.isfinite(est).all() and (bound < f64.max / 2.0).all()):
+        return maybe
+    guard = 2.0 * (lp.n + 2) * f64.eps * bound + f64.tiny
+    floor = np.where(verdicts == _FEASIBLE, est - guard, -np.inf).max(axis=1, keepdims=True)
+    return maybe & (est + guard >= floor)
+
+
 def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     """Steps 2-4 restricted to the given cohorts: reconstruct each cohort's
     points, drop the infeasible ones, and keep the feasible point with the
@@ -125,8 +158,12 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     rounding guard of ``2(n+2)eps * (|A|@|center| + |b| + |a t|)``; a point
     with a row inside the guard and none over it falls back to the exact
     ``max_violation``. Nonnegativity is checked exactly, on the coordinate
-    ``point_of`` writes. Values come from ``objective_value`` on the built
-    point.
+    ``point_of`` writes.
+
+    Values are screened the same way (see ``_value_candidates``): only the
+    points whose rank-1 value lies within a rounding guard of their
+    cohort's best get the exact ``max_violation`` fallback and an exact
+    ``objective_value`` on the built point; every point is still built.
 
     Ties break deterministically: smallest |offset| first, negative before
     positive, so results are independent of how cohorts are partitioned
@@ -139,22 +176,21 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     if not chis:
         return []
     offsets = [m.offset for m in cohort_ms[0]]
-    verdicts = _screen(lp, cross, chis, np.array(offsets) * cross.spacing).tolist()
+    steps = np.array(offsets) * cross.spacing
+    verdicts = _screen(lp, cross, chis, steps)
+    candidates = _value_candidates(lp, cross, chis, steps, verdicts).tolist()
     order = sorted(range(len(offsets)), key=lambda k: (abs(offsets[k]), offsets[k] > 0))
     out = []
-    for chi, ms, verdict in zip(chis, cohort_ms, verdicts):
+    for chi, ms, verdict, maybe in zip(chis, cohort_ms, verdicts.tolist(), candidates):
         best_point = None
         best_value = -math.inf
         for k in order:
             p = point_of(cross, ms[k])
-            if verdict[k] == _UNSURE:
-                feasible = max_violation(lp, p) == 0.0
-            else:
-                feasible = verdict[k] == _FEASIBLE
-            if feasible:
-                v = objective_value(lp, p)
-                if v > best_value:
-                    best_point, best_value = p, v
+            if not maybe[k] or (verdict[k] == _UNSURE and max_violation(lp, p) != 0.0):
+                continue
+            v = objective_value(lp, p)
+            if v > best_value:
+                best_point, best_value = p, v
         if best_point is None:
             out.append(CohortBest(chi))
         else:

@@ -126,6 +126,15 @@ def test_missing_problem_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--spacing", "nan"), ("--spacing", "inf"),
+                                         ("--quest-tolerance", "nan")])
+def test_track_rejects_non_finite_settings(tmp_path, capsys, flag, value):
+    code = main(["track", "--n", "6", "--iters", "3", flag, value,
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_with_drift(tmp_path):
     out = tmp_path / "drift"
     assert _run(["run", "--n", "8", "--iters", "4", "--workers", "1,2",

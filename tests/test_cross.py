@@ -120,3 +120,19 @@ def test_cross_validation():
         point_of(c, Marker(0, 3))
     with pytest.raises(ValueError):
         point_of(c, Marker(2, 1))
+
+
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
+def test_cross_rejects_non_finite_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        Cross(center=np.zeros(2), spacing=spacing, points_per_cohort=2)
+
+
+def test_cohort_markers_are_equal_fresh_lists():
+    c = Cross(center=np.zeros(3), spacing=1.0, points_per_cohort=4)
+    first = cohort_markers(c, 1)
+    first.append(Marker(2, 1))
+    first[0] = Marker(0, 1)
+    again = cohort_markers(c, 1)
+    assert again == [Marker(1, -2), Marker(1, -1), Marker(1, 1), Marker(1, 2)]
+    assert again is not cohort_markers(c, 1)

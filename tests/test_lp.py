@@ -162,6 +162,13 @@ def test_drift_spec_validation():
         DriftSpec(magnitude=-1.0)
 
 
+@pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+def test_drift_spec_rejects_non_finite_magnitude(magnitude):
+    # caught at construction, not as an OverflowError at the first drift step
+    with pytest.raises(ValueError, match="magnitude"):
+        DriftSpec(kind="random-sparse", delta=0.5, magnitude=magnitude)
+
+
 # --- deltas -------------------------------------------------------------------
 
 

@@ -179,3 +179,9 @@ def test_fejer_config_validation():
         FejerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         fejer_step(_one_dim(), np.array([3.0, 0.0]), relaxation=2.5)
+
+
+def test_fejer_config_rejects_nan_tolerance():
+    # residual <= nan is never true: the projection would run its whole budget
+    with pytest.raises(ValueError, match="tolerance"):
+        FejerConfig(tolerance=math.nan)

@@ -165,6 +165,84 @@ def test_screened_cohorts_match_the_exact_loop(seed, kind, k):
                            _process_cohorts_exact(lp, cross, cohorts))
 
 
+def _value_test_objective(rng, n):
+    """c with ties (zero and small integer entries), mixed magnitudes, or
+    entries large enough that ``c @ p`` overflows."""
+    pick = rng.integers(0, 4)
+    if pick == 0:
+        return rng.integers(-2, 3, n).astype(np.float64)
+    if pick == 1:
+        return np.where(rng.random(n) < 0.5, 0.0, rng.choice([-1.0, 1.0, 3.0], n))
+    if pick == 2:
+        return rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(290.0, 308.0, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 4, 8]))
+def test_screened_values_match_the_exact_loop(seed, k):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    theta = float(10.0 ** rng.integers(-8, 9))
+    # the smallest spacings round away against coordinates of order theta
+    spacing = float(rng.choice([theta * rng.uniform(0.01, 1.0), 1e-17, 1e-12 * theta]))
+    center = _maybe_negative(rng, _random_center(rng, n, theta), spacing)
+    lp = _random_lp(rng, center, spacing, k)
+    lp = DenseLP(lp.A, lp.b, _value_test_objective(rng, n))
+    cross = Cross(center, spacing, k)
+    whole = list(range(n))
+    subset = [c for c in whole if rng.random() < 0.5] or [int(rng.integers(0, n))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cohorts in (whole, subset):
+            _assert_same_bests(process_cohorts(lp, cross, cohorts),
+                               _process_cohorts_exact(lp, cross, cohorts))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(nslp.targeting, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(nslp.targeting, name, counted)
+    return calls
+
+
+def test_objective_value_runs_once_per_nonempty_cohort(monkeypatch):
+    n, k = 50, 8
+    x, _ = model_n_optimum(n)
+    rng = np.random.default_rng(11)
+    cross = Cross(np.maximum(x - rng.uniform(0.0, 2.0, n), 0.0), 1.0, k)
+    values = _counting(monkeypatch, "objective_value")
+    builds = _counting(monkeypatch, "point_of")
+    bests = process_cohorts(model_n(n), cross, range(n))
+    nonempty = sum(b.point is not None for b in bests)
+    assert nonempty > 0
+    assert len(values) == nonempty
+    assert len(builds) == n * k
+    _assert_same_bests(bests, _process_cohorts_exact(model_n(n), cross, range(n)))
+
+
+@pytest.mark.parametrize("drift", [DriftSpec(), DriftSpec(kind="random-sparse", delta=0.2,
+                                                          magnitude=1e-2, seed=3)])
+@pytest.mark.parametrize("p", [1, 3])
+def test_screened_run_traces_match_the_exact_loop(monkeypatch, drift, p):
+    n = 30
+    x, _ = model_n_optimum(n)
+    z = np.maximum(x - np.random.default_rng(7).uniform(0.0, 2.0, n), 0.0)
+    problem = NonStationaryLP(base=model_n(n), drift=drift)
+    cfg = TargetingConfig(points_per_cohort=8, spacing=1.0)
+
+    def trace_text():
+        return run_targeting(problem, z, cfg, 30, BsfExecutor("sequential-sim", p)).csv_text()
+
+    screened = trace_text()
+    monkeypatch.setattr(nslp.targeting, "process_cohorts", _process_cohorts_exact)
+    assert screened == trace_text()
+
+
 def test_cohort_on_an_all_zero_column_matches_the_exact_loop():
     # no row of A touches x_1, so the screen sees no nonzero entry at all
     lp = DenseLP(A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.array([1.0, 3.0]), c=np.ones(2))
