@@ -4,8 +4,7 @@ validate its scalability."""
 
 from .bsf import (BsfExecutor, BsfRecorder, BsfWorkerError, Order, RunMetrics,
                   SimTiming, WorkerResult, block_partition, make_order,
-                  measure_latency, order_from_bytes, order_to_bytes,
-                  replay_orders, run_bsf)
+                  order_from_bytes, order_to_bytes, replay_orders)
 from .cost_model import (CostParams, ScenarioModel, calibrate, efficiency,
                          predict_curves, scalability_bound, scenario_params, speedup)
 from .cross import Cross, Marker, cohort_markers, marker_of, markers, point_of, recenter

@@ -8,6 +8,8 @@ identical outputs: ``sequential-sim`` runs everything in-process with a
 deterministic synthetic clock, ``worker-pool`` runs workers in processes
 forked from a fork server that has numpy and nslp preloaded (so it needs a
 POSIX start method), connected by pipes, and reports measured timings.
+``BsfExecutor(backend, p_workers).run(workload)`` is the farm's only entry
+point.
 
 Workload protocol (duck-typed):
 
@@ -29,6 +31,7 @@ order stream bit-reproduces the results.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import pickle
 import statistics
@@ -125,6 +128,11 @@ class SimTiming:
     work_ns_per_cohort: float = 100_000.0
     recv_ns: float = 2_000.0
     evaluate_ns: float = 10_000.0
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass
@@ -409,7 +417,7 @@ class _Pool:
             raise BsfWorkerError(f"worker {w} failed:\n{msg[1:].decode(errors='replace')}")
         return msg
 
-    def ping_latency_ns(self, rounds: int = 1000) -> float:
+    def ping_latency_ns(self, rounds: int) -> float:
         """Median one-byte ping-pong round trip over worker 0, halved."""
         samples = []
         for _ in range(rounds):
@@ -492,51 +500,6 @@ def _run_pool(workload, setup, partition, recorder: BsfRecorder | None, latency_
 
 
 BACKENDS = ("sequential-sim", "worker-pool")
-_BACKEND_ALIASES = {"sim": "sequential-sim", "pool": "worker-pool"}
-
-
-def run_bsf(workload, p_workers: int, backend: str = "sequential-sim", *,
-            sim_timing: SimTiming | None = None, recorder: BsfRecorder | None = None,
-            latency_rounds: int = 1000):
-    """Run a workload through the farm; returns (final state, RunMetrics).
-
-    Both backends produce identical workload outputs; only the metrics
-    differ (synthetic for the simulator, measured for the pool).
-    """
-    backend = _BACKEND_ALIASES.get(backend, backend)
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if p_workers < 1:
-        raise ValueError("need at least one worker")
-    if workload.cohort_count < p_workers:
-        raise ValueError(
-            f"worker count {p_workers} exceeds cohort count {workload.cohort_count}")
-    partition = block_partition(workload.cohort_count, p_workers)
-    setup = workload.init(p_workers, partition)
-    if backend == "sequential-sim":
-        return _run_sim(workload, setup, partition, sim_timing or SimTiming(), recorder)
-    return _run_pool(workload, setup, partition, recorder, latency_rounds)
-
-
-class _NullSetup:
-    def init_state(self, worker_id, cohorts):
-        return None
-
-    def process_order(self, state, order):
-        return None, ()
-
-
-def measure_latency(backend: str = "sequential-sim", *, sim_timing: SimTiming | None = None,
-                    rounds: int = 1000) -> float:
-    """Estimated one-byte message latency (ns) for the given transport."""
-    backend = _BACKEND_ALIASES.get(backend, backend)
-    if backend == "sequential-sim":
-        return (sim_timing or SimTiming()).latency_ns
-    pool = _Pool([[0]], _NullSetup())
-    try:
-        return pool.ping_latency_ns(rounds)
-    finally:
-        pool.shutdown()
 
 
 @dataclass(frozen=True)
@@ -548,7 +511,18 @@ class BsfExecutor:
     sim_timing: SimTiming = field(default_factory=SimTiming)
     latency_rounds: int = 1000
 
+    def __post_init__(self):
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+
     def run(self, workload, recorder: BsfRecorder | None = None):
-        return run_bsf(workload, self.p_workers, self.backend,
-                       sim_timing=self.sim_timing, recorder=recorder,
-                       latency_rounds=self.latency_rounds)
+        """Run a workload through the farm; returns (final state, RunMetrics).
+
+        Both backends produce identical workload outputs; only the metrics
+        differ (synthetic for the simulator, measured for the pool).
+        """
+        partition = block_partition(workload.cohort_count, self.p_workers)
+        setup = workload.init(self.p_workers, partition)
+        if self.backend == "sequential-sim":
+            return _run_sim(workload, setup, partition, self.sim_timing, recorder)
+        return _run_pool(workload, setup, partition, recorder, self.latency_rounds)

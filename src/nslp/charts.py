@@ -31,9 +31,9 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def line_chart(path, title: str, x_label: str, y_label: str, series,
-               width: int = 640, height: int = 420) -> None:
+def line_chart(path, title: str, x_label: str, y_label: str, series) -> None:
     """Write an SVG line chart. ``series`` is a list of (name, xs, ys)."""
+    width, height = 640, 420
     ml, mr, mt, mb = 62, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]

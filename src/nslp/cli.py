@@ -20,24 +20,30 @@ from .quest import FejerConfig, pseudo_project
 from .targeting import TargetingConfig, run_targeting
 
 THREAD_CAP_ENV = "NSLP_THREADS"
+_BACKENDS = {"sim": "sequential-sim", "pool": "worker-pool"}
 
 
-def _add_common(p: argparse.ArgumentParser, *, n_default: int) -> None:
+def _add_scenario(p: argparse.ArgumentParser, *, n_default: int) -> None:
+    """The flags every subcommand reads: dimension, change regime and output."""
     p.add_argument("--n", default=str(n_default),
                    help=f"problem dimension(s), comma separated (variables; default {n_default})")
-    p.add_argument("--k", type=int, default=8, help="points per cohort, even (default 8)")
-    p.add_argument("--spacing", type=float, default=1.0,
-                   help="distance between neighbor cross points (problem units; default 1.0)")
     p.add_argument("--delta", default="one-row",
                    help="fraction of data entries changed per time unit: "
                         "full, one-row, or a float in [0,1] (default one-row)")
+    p.add_argument("--out", default="out", help="output directory (default ./out)")
+
+
+def _add_solver(p: argparse.ArgumentParser, *, backend_default: str) -> None:
+    """The flags of a solver run (``run`` and ``track``): the drifting
+    problem, the tracker's settings and the farm backend."""
+    p.add_argument("--k", type=int, default=8, help="points per cohort, even (default 8)")
+    p.add_argument("--spacing", type=float, default=1.0,
+                   help="distance between neighbor cross points (problem units; default 1.0)")
     p.add_argument("--drift", choices=("none", "translate", "random"), default="none",
                    help="how the problem evolves per time unit (default none)")
     p.add_argument("--drift-magnitude", type=float, default=1.0,
                    help="translation distance or noise amplitude per time unit "
                         "(problem units; default 1.0)")
-    p.add_argument("--workers", default="1,2,3,4,5,6,7,8",
-                   help="worker counts, comma separated (default 1..8)")
     p.add_argument("--iters", type=int, default=100,
                    help="tracking iterations per run (default 100)")
     p.add_argument("--stall-limit", type=int, default=10,
@@ -52,12 +58,9 @@ def _add_common(p: argparse.ArgumentParser, *, n_default: int) -> None:
                    help="iteration budget of the recovery phase (default 1e6)")
     p.add_argument("--quest-lambda", type=float, default=1.0,
                    help="relaxation coefficient in (0,2) (default 1.0)")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--backend", choices=("sim", "pool"), default=None,
-                   help="sequential simulator or process worker pool")
-    p.add_argument("--latency-ns", type=float, default=DEFAULT_LATENCY_NS,
-                   help="synthetic one-byte latency for the simulator and the "
-                        "scenario model (nanoseconds; default 1e4)")
+    p.add_argument("--backend", choices=tuple(_BACKENDS), default=backend_default,
+                   help="sequential simulator or process worker pool "
+                        f"(default {backend_default})")
     p.add_argument("--problem-file", default=None,
                    help="read the base problem from a plain-text matrix file "
                         "instead of generating the synthetic family")
@@ -130,12 +133,7 @@ def _cap_workers(workers: list[int]) -> list[int]:
     return kept
 
 
-def _executor(args, p: int) -> BsfExecutor:
-    return BsfExecutor(backend=args.backend, p_workers=p,
-                       sim_timing=SimTiming(latency_ns=args.latency_ns))
-
-
-def _session(args, default_backend: str):
+def _session(args, workers: list[int]):
     """The preamble ``run`` and ``track`` share: a single ``--n``, the
     problem, the capped worker list and the output directory. Returns
     (problem, delta mode, custom delta, workers, out)."""
@@ -144,11 +142,9 @@ def _session(args, default_backend: str):
         raise argparse.ArgumentTypeError(f"{args.command} takes a single --n")
     if args.iters < 1:
         raise argparse.ArgumentTypeError("--iters must be >= 1")
-    if args.backend is None:
-        args.backend = default_backend
     mode, frac, custom = _resolve_delta(args.delta, ns[0])
     problem = _build_problem(args, ns[0], frac)
-    workers = _cap_workers(_parse_ints(args.workers, "worker"))
+    workers = _cap_workers(workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return problem, mode, custom, workers, out
@@ -158,7 +154,8 @@ RESULTS_HEADER = "P,time_ns,speedup_meas,eff_meas,speedup_pred,eff_pred,bound"
 
 
 def cmd_run(args) -> int:
-    problem, mode, custom, workers, out = _session(args, "pool")
+    timing = SimTiming(latency_ns=args.latency_ns)
+    problem, mode, custom, workers, out = _session(args, _parse_ints(args.workers, "worker"))
     n = problem.base.n
     bad = [p for p in workers if p < 1 or p > n]
     if bad:
@@ -169,7 +166,8 @@ def cmd_run(args) -> int:
 
     runs: dict[int, tuple] = {}
     for p in workers:
-        trace = run_targeting(problem, quest.z, cfg, args.iters, _executor(args, p))
+        executor = BsfExecutor(_BACKENDS[args.backend], p, sim_timing=timing)
+        trace = run_targeting(problem, quest.z, cfg, args.iters, executor)
         runs[p] = trace
         print(f"P={p}: {trace.metrics.iter_ns / 1e6:.3f} ms/iteration")
 
@@ -206,9 +204,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_track(args) -> int:
-    problem, _, _, workers, out = _session(args, "sim")
+    problem, _, _, (p,), out = _session(args, [args.workers])
     n = problem.base.n
-    p = workers[0]
     if not 1 <= p <= n:
         raise argparse.ArgumentTypeError(f"worker count {p} out of range [1, {n}]")
     gap_mode = args.oracle_gap
@@ -224,7 +221,8 @@ def cmd_track(args) -> int:
         start = np.maximum(x_star - rng.uniform(0.0, 2 * args.spacing, n), 0.0)
     quest = pseudo_project(problem, start, _quest_config(args), clock=problem.clock)
     cfg = _targeting_config(args, oracle_gap=oracle_gap)
-    trace = run_targeting(problem, quest.z, cfg, args.iters, _executor(args, p))
+    trace = run_targeting(problem, quest.z, cfg, args.iters,
+                          BsfExecutor(_BACKENDS[args.backend], p))
     trace.to_csv(out / "trace.csv")
 
     final = trace.final
@@ -250,28 +248,26 @@ def cmd_predict(args) -> int:
     mode, _, custom = _resolve_delta(args.delta, ns[0])
 
     if args.metrics:
-        rows = _read_metrics_csv(args.metrics)
-        meas_n = args.metrics_n or ns[0]
-        model = calibrate([(meas_n, m) for m in rows[:1]], delta_mode=mode,
+        # the same model ``run`` wrote: calibrated at the smallest P, with its measured L
+        base = min(_read_metrics_csv(args.metrics), key=lambda m: m.p_workers)
+        model = calibrate([(args.metrics_n or ns[0], base)], delta_mode=mode,
                           custom_delta=custom, latency_ns=args.latency_ns)
     else:
+        latency = DEFAULT_LATENCY_NS if args.latency_ns is None else args.latency_ns
         model = ScenarioModel(n=ns[0], delta_mode=mode, custom_delta=custom,
                               c_s=args.cs, c_w=args.cw, c_r=args.cr, c_p=args.cp,
-                              latency_ns=args.latency_ns)
+                              latency_ns=latency)
 
-    speed_series = []
+    speed_series, eff_series = [], []
     for n in ns:
-        m = replace(model, n=n)
-        rows = predict_curves(m, workers)
+        rows = predict_curves(replace(model, n=n), workers)
         name = out / ("predicted.csv" if len(ns) == 1 else f"predicted_n{n}.csv")
         curves_to_csv(rows, name)
-        speed_series.append((f"n={n}", list(workers), [r.speedup for r in rows]))
+        speed_series.append((f"n={n}", workers, [r.speedup for r in rows]))
+        eff_series.append((f"n={n}", workers, [r.efficiency for r in rows]))
         print(f"n={n}: scalability bound {rows[0].bound!r} workers -> {name}")
     line_chart(out / "speedup.svg", "predicted speedup", "workers", "speedup", speed_series)
-    line_chart(out / "efficiency.svg", "predicted efficiency", "workers", "efficiency",
-               [(f"n={n}", list(workers),
-                 [r.efficiency for r in predict_curves(replace(model, n=n), workers)])
-                for n in ns])
+    line_chart(out / "efficiency.svg", "predicted efficiency", "workers", "efficiency", eff_series)
     return 0
 
 
@@ -298,11 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "farm and compare measured against predicted scalability.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    workers_help = "worker counts, comma separated (default 1..8)"
     p_run = sub.add_parser("run", help="measure speedup/efficiency across worker counts")
-    _add_common(p_run, n_default=400)
+    _add_scenario(p_run, n_default=400)
+    _add_solver(p_run, backend_default="pool")
+    p_run.add_argument("--workers", default="1,2,3,4,5,6,7,8", help=workers_help)
+    p_run.add_argument("--latency-ns", type=float, default=DEFAULT_LATENCY_NS,
+                       help="synthetic one-byte latency L charged by the simulator "
+                            "(nanoseconds; default 1e4); the pool measures its own")
 
     p_track = sub.add_parser("track", help="run one tracking session and dump its trace")
-    _add_common(p_track, n_default=6)
+    _add_scenario(p_track, n_default=6)
+    _add_solver(p_track, backend_default="sim")
+    p_track.add_argument("--workers", type=int, default=1,
+                         help="worker count (default 1)")
     p_track.add_argument("--oracle-gap", choices=("auto", "on", "off"), default="auto",
                          help="add the gap to the exact optimum to the trace, NaN "
                               "where the snapshot has none (auto: only at desk scale)")
@@ -312,7 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "optimum to measure steady-state tracking (default origin)")
 
     p_pred = sub.add_parser("predict", help="emit predicted curves only (no solver run)")
-    _add_common(p_pred, n_default=400)
+    _add_scenario(p_pred, n_default=400)
+    p_pred.add_argument("--workers", default="1,2,3,4,5,6,7,8", help=workers_help)
+    p_pred.add_argument("--latency-ns", type=float, default=None,
+                        help="one-byte latency L of the scenario model (nanoseconds; "
+                             "default: the measured L with --metrics, else 1e4)")
     p_pred.add_argument("--cs", type=float, default=1.0,
                         help="send-cost calibration constant (ns per unit; default 1)")
     p_pred.add_argument("--cw", type=float, default=1.0,

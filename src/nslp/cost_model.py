@@ -29,13 +29,8 @@ class CostParams:
         if self.p_workers < 1:
             raise ValueError("p_workers must be >= 1")
         for name in ("latency_ns", "t_s_ns", "t_r_ns", "t_p_ns", "t_w_ns"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @classmethod
-    def from_metrics(cls, m: RunMetrics, p_workers: int | None = None) -> "CostParams":
-        return cls(p_workers if p_workers is not None else m.p_workers,
-                   m.latency_ns, m.t_s_ns, m.t_r_ns, m.t_p_ns, m.t_w_ns)
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def scalability_bound(p: CostParams) -> float:
@@ -93,8 +88,10 @@ class ScenarioModel:
         if self.delta_mode == "custom" and self.custom_delta is None:
             raise ValueError("custom delta_mode requires custom_delta")
         for name in ("c_s", "c_w", "c_r", "c_p"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 <= self.latency_ns < math.inf:
+            raise ValueError("latency_ns must be finite and nonnegative")
 
     def delta(self) -> float:
         if self.delta_mode == "full":

@@ -379,7 +379,7 @@ class TargetingWorkload:
 
 
 def run_targeting(problem: NonStationaryLP, z, cfg: TargetingConfig,
-                  iterations: int, executor, recorder=None) -> TrackingTrace:
+                  iterations: int, executor) -> TrackingTrace:
     """Run ``iterations`` tracking iterations over the drifting problem.
 
     The executor decides worker count and backend; the resulting trace is
@@ -387,6 +387,6 @@ def run_targeting(problem: NonStationaryLP, z, cfg: TargetingConfig,
     attached metrics differ).
     """
     workload = TargetingWorkload(problem, z, cfg, iterations)
-    trace, metrics = executor.run(workload, recorder=recorder)
+    trace, metrics = executor.run(workload)
     trace.metrics = metrics
     return trace

@@ -15,19 +15,26 @@ import pytest
 import nslp
 from nslp import (BsfExecutor, BsfRecorder, BsfWorkerError, Cross, DriftSpec,
                   NonStationaryLP, Order, SimTiming, SparseDelta, apply_delta,
-                  block_partition, evaluate, make_order, measure_latency, model_n,
+                  block_partition, evaluate, make_order, model_n,
                   model_n_optimum, order_from_bytes, order_to_bytes,
-                  process_cohorts, replay_orders, run_bsf, run_targeting, snapshot)
-from nslp.bsf import (WorkerResult, _NullSetup, _Pool, load_order_stream,
-                      save_order_stream)
+                  process_cohorts, replay_orders, run_targeting, snapshot)
+from nslp.bsf import WorkerResult, _Pool, load_order_stream, save_order_stream
 from nslp.targeting import TargetingConfig, TargetingState, TargetingWorkload
 
 
-class FailingSetup:
-    """Worker-side setup whose order processing always raises (picklable)."""
+class TrivialSetup:
+    """Worker-side setup with no state that answers every order with nothing
+    (picklable)."""
 
     def init_state(self, worker_id, cohorts):
         return None
+
+    def process_order(self, state, order):
+        return None, ()
+
+
+class FailingSetup(TrivialSetup):
+    """Worker-side setup whose order processing always raises."""
 
     def process_order(self, state, order):
         raise RuntimeError("synthetic worker fault")
@@ -278,7 +285,7 @@ def test_sim_metrics_are_synthetic_and_deterministic():
 
 def test_worker_failure_aborts_with_diagnostic():
     with pytest.raises(BsfWorkerError, match="synthetic worker fault"):
-        run_bsf(FailingWorkload(), 2, "worker-pool", latency_rounds=10)
+        BsfExecutor("worker-pool", 2, latency_rounds=10).run(FailingWorkload())
 
 
 def _pool_failure(workload) -> BsfWorkerError:
@@ -288,7 +295,7 @@ def _pool_failure(workload) -> BsfWorkerError:
 
     def run():
         try:
-            run_bsf(workload, 2, "worker-pool", latency_rounds=10)
+            BsfExecutor("worker-pool", 2, latency_rounds=10).run(workload)
         except Exception as exc:
             outcome.append(exc)
 
@@ -318,7 +325,7 @@ def test_failed_setup_send_stops_the_started_workers(monkeypatch):
 
     monkeypatch.setattr(_Pool, "send", send)
     with pytest.raises(BsfWorkerError, match="synthetic send fault"):
-        _Pool([[0], [1]], _NullSetup())
+        _Pool([[0], [1]], TrivialSetup())
     assert multiprocessing.active_children() == []
 
 
@@ -334,7 +341,7 @@ def test_failed_worker_start_stops_the_started_workers(monkeypatch, fault):
 
     monkeypatch.setattr(ForkServerProcess, "start", start)
     with pytest.raises(BsfWorkerError, match="worker 1 did not start.*synthetic fork server"):
-        _Pool([[0], [1]], _NullSetup())
+        _Pool([[0], [1]], TrivialSetup())
     assert multiprocessing.active_children() == []
 
 
@@ -358,7 +365,7 @@ def two_pool_runs(tmp_path_factory):
     script.write_text(textwrap.dedent("""\
         import json, os
         import numpy as np
-        from nslp import Order, SparseDelta, run_bsf
+        from nslp import BsfExecutor, Order, SparseDelta
 
         class ProbeSetup:
             def init_state(self, worker_id, cohorts):
@@ -390,7 +397,8 @@ def two_pool_runs(tmp_path_factory):
 
         if __name__ == "__main__":
             for _ in range(2):
-                seen, _ = run_bsf(ProbeWorkload(), 2, "worker-pool", latency_rounds=1)
+                pool = BsfExecutor("worker-pool", 2, latency_rounds=1)
+                seen, _ = pool.run(ProbeWorkload())
                 print(json.dumps({"master": os.getpid(), "workers": seen}), flush=True)
         """))
     done = _run_driver(script, {k: v for k, v in os.environ.items() if k not in _BLAS_VARS})
@@ -444,6 +452,22 @@ def test_worker_count_validation(unit_square):
         run_targeting(problem, np.zeros(2), cfg, 1, BsfExecutor("bogus", 1))
 
 
+def test_executor_takes_only_the_farm_backend_names():
+    # the short spellings belong to the command line, not to the farm
+    for name in ("pool", "sim"):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            BsfExecutor(name, 1)
+
+
+@pytest.mark.parametrize("field", ["latency_ns", "send_ns", "work_ns_per_cohort",
+                                   "recv_ns", "evaluate_ns"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_sim_timing_rejects_bad_costs(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimTiming(**{field: value})
+    assert getattr(SimTiming(**{field: 0.0}), field) == 0.0
+
+
 def test_record_replay_bit_reproduces_results():
     n = 6
     problem = NonStationaryLP(base=model_n(n),
@@ -453,7 +477,7 @@ def test_record_replay_bit_reproduces_results():
     cfg = TargetingConfig(points_per_cohort=4, spacing=0.25)
     recorder = BsfRecorder()
     workload = TargetingWorkload(problem, z, cfg, 12)
-    run_bsf(workload, 2, "sequential-sim", recorder=recorder)
+    BsfExecutor("sequential-sim", 2).run(workload, recorder=recorder)
     assert len(recorder.orders) == 12
 
     partition = block_partition(n, 2)
@@ -468,9 +492,3 @@ def test_record_replay_bit_reproduces_results():
                 if a.point is not None:
                     assert np.array_equal(a.point, b.point)
 
-
-def test_measure_latency():
-    assert measure_latency("sequential-sim") == 10_000.0
-    assert measure_latency("sequential-sim", sim_timing=SimTiming(latency_ns=0.0)) == 0.0
-    pool_latency = measure_latency("worker-pool", rounds=50)
-    assert 0.0 < pool_latency < 1e9

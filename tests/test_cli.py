@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,42 @@ def _run(argv) -> int:
     return main(argv)
 
 
+SCENARIO_FLAGS = {"--n", "--delta", "--workers", "--out"}
+# the flags of a solver run, which predict does not read
+SOLVER_FLAGS = {"--k", "--spacing", "--drift", "--drift-magnitude", "--iters",
+                 "--stall-limit", "--seed", "--theta", "--quest-tolerance",
+                 "--quest-max-iter", "--quest-lambda", "--backend", "--problem-file"}
+FLAGS = {
+    "run": SCENARIO_FLAGS | SOLVER_FLAGS | {"--latency-ns"},
+    "track": SCENARIO_FLAGS | SOLVER_FLAGS | {"--oracle-gap", "--start"},
+    "predict": SCENARIO_FLAGS | {"--latency-ns", "--cs", "--cw", "--cr", "--cp",
+                                 "--metrics", "--metrics-n"},
+}
+
+
 def test_help_screens(capsys):
-    for sub in ("run", "track", "predict"):
+    for sub, flags in FLAGS.items():
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--workers" in out and "--seed" in out
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) - {"--help"} == flags, sub
+
+
+@pytest.mark.parametrize("flag", sorted(SOLVER_FLAGS))
+def test_predict_rejects_solver_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--n", "50", flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--workers", "1,2"], ["--latency-ns", "5"]])
+def test_track_usage_errors(tmp_path, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["track", "--n", "4", "--iters", "2", *extra, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_track_writes_trace_and_is_deterministic(tmp_path, capsys):
@@ -174,15 +205,27 @@ def test_predict_deterministic(tmp_path):
         (tmp_path / "b" / "predicted.csv").read_bytes()
 
 
-def test_predict_from_metrics_file(tmp_path):
-    out = tmp_path / "meas"
-    assert _run(["run", "--n", "6", "--iters", "3", "--workers", "1",
-                 "--spacing", "0.5", "--k", "2", "--backend", "sim",
-                 "--out", str(out)]) == 0
-    out2 = tmp_path / "pred"
-    assert _run(["predict", "--n", "6", "--workers", "1,2",
-                 "--metrics", str(out / "metrics.csv"), "--out", str(out2)]) == 0
-    assert (out2 / "predicted.csv").exists()
+def test_predict_from_metrics_file(tmp_path, capsys):
+    # predict calibrates as run did: at the smallest P (not the first row),
+    # with the measured L (0 here, not predict's 1e4 fallback)
+    run, pred = tmp_path / "run", tmp_path / "pred"
+    assert _run(["run", "--n", "8", "--iters", "3", "--workers", "2,1,4", "--backend", "sim",
+                 "--latency-ns", "0", "--out", str(run)]) == 0
+    assert _run(["predict", "--n", "8", "--workers", "2,1,4",
+                 "--metrics", str(run / "metrics.csv"), "--out", str(pred)]) == 0
+    capsys.readouterr()
+    assert (pred / "predicted.csv").read_bytes() == (run / "predicted.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-50000"])
+def test_run_rejects_bad_latency_before_any_pass(tmp_path, monkeypatch, capsys, value):
+    passes = []
+    monkeypatch.setattr("nslp.cli.run_targeting", lambda *args: passes.append(args))
+    code = main(["run", "--n", "6", "--iters", "3", "--workers", "1,2", "--backend", "sim",
+                 "--latency-ns", value, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "latency_ns" in capsys.readouterr().err
+    assert passes == []
 
 
 def test_track_near_optimum_meets_oracle_gap_bound(tmp_path, capsys):

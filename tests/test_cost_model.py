@@ -199,11 +199,13 @@ def test_cost_params_validation():
         CostParams(p_workers=0, latency_ns=0, t_s_ns=0, t_r_ns=0, t_p_ns=0, t_w_ns=1)
     with pytest.raises(ValueError):
         CostParams(p_workers=1, latency_ns=-1, t_s_ns=0, t_r_ns=0, t_p_ns=0, t_w_ns=1)
-    m = RunMetrics(p_workers=3, latency_ns=1.0, t_s_ns=2.0, t_v_ns=4.0, t_r_ns=5.0,
-                   t_p_ns=6.0, t_w_ns=12.0)
-    p = CostParams.from_metrics(m)
-    assert p.p_workers == 3 and p.t_w_ns == 12.0
-    assert CostParams.from_metrics(m, p_workers=7).p_workers == 7
+
+
+@pytest.mark.parametrize("field", ["latency_ns", "t_s_ns", "t_r_ns", "t_p_ns", "t_w_ns"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_cost_params_rejects_bad_costs(field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(_params(), **{field: value})
 
 
 def test_scenario_model_validation():
@@ -215,3 +217,11 @@ def test_scenario_model_validation():
         ScenarioModel(n=10, delta_mode="custom")
     with pytest.raises(ValueError):
         ScenarioModel(n=10, c_s=0.0)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("c_s", float("nan")), ("c_w", float("nan")), ("c_r", float("inf")), ("c_p", float("nan")),
+    ("latency_ns", float("nan")), ("latency_ns", float("inf")), ("latency_ns", -1.0)])
+def test_scenario_model_rejects_bad_costs(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ScenarioModel(n=10, **{field: bad})
