@@ -74,6 +74,8 @@ class Order:
 
 @dataclass(frozen=True)
 class WorkerResult:
+    """One worker's answer to an order; compares by value."""
+
     worker_id: int
     bests: tuple
 
@@ -144,11 +146,14 @@ class BsfRecorder:
 
 
 # --- wire format ------------------------------------------------------------
-# Orders: little-endian, length-prefixed sections. Layout:
+# Orders: little-endian, length-prefixed sections, one per SparseDelta
+# section; an A index is the flat position row*n+col. Layout:
 #   u32 n | n x f64 theta | u64 clock
-#   u32 count_a | count_a x (u32 row*n+col, f64 value)
-#   u32 count_b | count_b x (u32 index, f64 value)
-#   u32 count_c | count_c x (u32 index, f64 value)
+#   u32 count_a | count_a x (u32 A index, f64 value)
+#   u32 count_b | count_b x (u32 b index, f64 value)
+#   u32 count_c | count_c x (u32 c index, f64 value)
+# Results go back pickled: per cohort, the winning marker's offset and its
+# value, which the master turns back into a point on its own cross.
 
 
 def _pairs_to_bytes(idx: np.ndarray, vals: np.ndarray) -> bytes:
@@ -159,11 +164,10 @@ def _pairs_to_bytes(idx: np.ndarray, vals: np.ndarray) -> bytes:
 
 
 def order_to_bytes(order: Order) -> bytes:
-    n = order.theta.shape[0]
     d = order.delta
-    head = struct.pack("<I", n) + order.theta.astype("<f8").tobytes()
+    head = struct.pack("<I", order.theta.shape[0]) + order.theta.astype("<f8").tobytes()
     head += struct.pack("<Q", order.clock)
-    body = _pairs_to_bytes(d.a_rows * n + d.a_cols, d.a_vals)
+    body = _pairs_to_bytes(d.a_idx, d.a_vals)
     body += _pairs_to_bytes(d.b_idx, d.b_vals)
     body += _pairs_to_bytes(d.c_idx, d.c_vals)
     return head + body
@@ -182,30 +186,10 @@ def order_from_bytes(buf: bytes) -> Order:
         off += 4
         rec = np.frombuffer(buf, dtype=_PAIR, count=count, offset=off)
         off += count * _PAIR.itemsize
-        sections.append((rec["i"].astype(np.int64), rec["v"].astype(np.float64)))
+        sections += [rec["i"].astype(np.int64), rec["v"].astype(np.float64)]
     if off != len(buf):
         raise ValueError("trailing bytes in order frame")
-    (a_idx, a_vals), (b_idx, b_vals), (c_idx, c_vals) = sections
-    delta = SparseDelta(a_idx // n, a_idx % n, a_vals, b_idx, b_vals, c_idx, c_vals)
-    return Order(theta=theta, delta=delta, clock=int(clock))
-
-
-def save_order_stream(path, orders) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(orders)))
-        for frame in orders:
-            fh.write(struct.pack("<I", len(frame)))
-            fh.write(frame)
-
-
-def load_order_stream(path) -> list[bytes]:
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<I", fh.read(4))
-        frames = []
-        for _ in range(count):
-            (size,) = struct.unpack("<I", fh.read(4))
-            frames.append(fh.read(size))
-    return frames
+    return Order(theta=theta, delta=SparseDelta(*sections), clock=int(clock))
 
 
 def replay_orders(setup, worker_id: int, cohorts, order_frames) -> list[tuple]:

@@ -135,8 +135,9 @@ def _cap_workers(workers: list[int]) -> list[int]:
 
 def _session(args, workers: list[int]):
     """The preamble ``run`` and ``track`` share: a single ``--n``, the
-    problem, the capped worker list and the output directory. Returns
-    (problem, delta mode, custom delta, workers, out)."""
+    problem, the capped worker list, each count in [1, n], and then the
+    output directory. Returns (problem, delta mode, custom delta, workers,
+    out)."""
     ns = _parse_ints(args.n, "dimension")
     if len(ns) != 1:
         raise argparse.ArgumentTypeError(f"{args.command} takes a single --n")
@@ -145,6 +146,10 @@ def _session(args, workers: list[int]):
     mode, frac, custom = _resolve_delta(args.delta, ns[0])
     problem = _build_problem(args, ns[0], frac)
     workers = _cap_workers(workers)
+    n = problem.base.n
+    bad = [p for p in workers if not 1 <= p <= n]
+    if bad:
+        raise argparse.ArgumentTypeError(f"worker counts out of range [1, {n}]: {bad}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return problem, mode, custom, workers, out
@@ -154,13 +159,13 @@ RESULTS_HEADER = "P,time_ns,speedup_meas,eff_meas,speedup_pred,eff_pred,bound"
 
 
 def cmd_run(args) -> int:
-    timing = SimTiming(latency_ns=args.latency_ns)
+    if args.latency_ns is not None and args.backend == "pool":
+        raise argparse.ArgumentTypeError(
+            "--latency-ns sets the simulator's L; the pool measures its own")
+    timing = SimTiming(
+        latency_ns=DEFAULT_LATENCY_NS if args.latency_ns is None else args.latency_ns)
     problem, mode, custom, workers, out = _session(args, _parse_ints(args.workers, "worker"))
     n = problem.base.n
-    bad = [p for p in workers if p < 1 or p > n]
-    if bad:
-        raise argparse.ArgumentTypeError(f"worker counts out of range [1, {n}]: {bad}")
-
     quest = pseudo_project(problem, np.zeros(n), _quest_config(args), clock=problem.clock)
     cfg = _targeting_config(args)
 
@@ -174,40 +179,34 @@ def cmd_run(args) -> int:
     base_p = min(workers)
     base = runs[base_p].metrics
     model = calibrate([(n, base)], delta_mode=mode, custom_delta=custom)
-    pred = {r.p_workers: r for r in predict_curves(model, workers)}
+    pred = predict_curves(model, workers)
+    measured = [runs[p].metrics for p in workers]
+    speed = [base_p * base.iter_ns / m.iter_ns for m in measured]
+    eff = [s / p for s, p in zip(speed, workers)]
 
     with open(out / "results.csv", "w") as fh:
         fh.write(RESULTS_HEADER + "\n")
-        for p in workers:
-            m = runs[p].metrics
-            speed = base_p * base.iter_ns / m.iter_ns
-            eff = speed / p
-            r = pred[p]
-            fh.write(f"{p},{m.iter_ns!r},{speed!r},{eff!r},"
+        for p, m, s, e, r in zip(workers, measured, speed, eff, pred):
+            fh.write(f"{p},{m.iter_ns!r},{s!r},{e!r},"
                      f"{r.speedup!r},{r.efficiency!r},{r.bound!r}\n")
 
-    metrics_to_csv([runs[p].metrics for p in workers], out / "metrics.csv")
+    metrics_to_csv(measured, out / "metrics.csv")
     runs[base_p].to_csv(out / "trace.csv")
-    curves_to_csv(predict_curves(model, workers), out / "predicted.csv")
+    curves_to_csv(pred, out / "predicted.csv")
 
-    ps = list(workers)
-    meas_speed = [base_p * base.iter_ns / runs[p].metrics.iter_ns for p in ps]
-    pred_speed = [pred[p].speedup for p in ps]
     line_chart(out / "speedup.svg", f"speedup, n={n}", "workers", "speedup",
-               [("measured", ps, meas_speed), ("predicted", ps, pred_speed)])
+               [("measured", workers, speed),
+                ("predicted", workers, [r.speedup for r in pred])])
     line_chart(out / "efficiency.svg", f"parallel efficiency, n={n}", "workers", "efficiency",
-               [("measured", ps, [s / p for s, p in zip(meas_speed, ps)]),
-                ("predicted", ps, [pred[p].efficiency for p in ps])])
-    bound = pred[ps[0]].bound
-    print(f"wrote {out}/results.csv (scalability bound {bound:.1f} workers)")
+               [("measured", workers, eff),
+                ("predicted", workers, [r.efficiency for r in pred])])
+    print(f"wrote {out}/results.csv (scalability bound {pred[0].bound:.1f} workers)")
     return 0
 
 
 def cmd_track(args) -> int:
     problem, _, _, (p,), out = _session(args, [args.workers])
     n = problem.base.n
-    if not 1 <= p <= n:
-        raise argparse.ArgumentTypeError(f"worker count {p} out of range [1, {n}]")
     gap_mode = args.oracle_gap
     oracle_gap = gap_mode == "on" or (gap_mode == "auto" and n <= 12 and problem.base.m <= 100)
 
@@ -243,8 +242,8 @@ def cmd_track(args) -> int:
 def cmd_predict(args) -> int:
     ns = _parse_ints(args.n, "dimension")
     workers = _parse_ints(args.workers, "worker")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if min(workers) < 1:
+        raise argparse.ArgumentTypeError(f"worker counts must be >= 1: {workers}")
     mode, _, custom = _resolve_delta(args.delta, ns[0])
 
     if args.metrics:
@@ -257,10 +256,12 @@ def cmd_predict(args) -> int:
         model = ScenarioModel(n=ns[0], delta_mode=mode, custom_delta=custom,
                               c_s=args.cs, c_w=args.cw, c_r=args.cr, c_p=args.cp,
                               latency_ns=latency)
+    curves = [(n, predict_curves(replace(model, n=n), workers)) for n in ns]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     speed_series, eff_series = [], []
-    for n in ns:
-        rows = predict_curves(replace(model, n=n), workers)
+    for n, rows in curves:
         name = out / ("predicted.csv" if len(ns) == 1 else f"predicted_n{n}.csv")
         curves_to_csv(rows, name)
         speed_series.append((f"n={n}", workers, [r.speedup for r in rows]))
@@ -299,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario(p_run, n_default=400)
     _add_solver(p_run, backend_default="pool")
     p_run.add_argument("--workers", default="1,2,3,4,5,6,7,8", help=workers_help)
-    p_run.add_argument("--latency-ns", type=float, default=DEFAULT_LATENCY_NS,
+    p_run.add_argument("--latency-ns", type=float, default=None,
                        help="synthetic one-byte latency L charged by the simulator "
-                            "(nanoseconds; default 1e4); the pool measures its own")
+                            "(nanoseconds; default 1e4); --backend pool measures its "
+                            "own and rejects the flag")
 
     p_track = sub.add_parser("track", help="run one tracking session and dump its trace")
     _add_scenario(p_track, n_default=6)

@@ -8,7 +8,7 @@ but not stored as rows unless a generator chooses to add them explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -137,13 +137,12 @@ def _has_duplicates(a: np.ndarray) -> bool:
 class SparseDelta:
     """Sparse point updates turning one DenseLP into another.
 
-    Entries carry the *new* values. Stored as parallel index/value arrays;
-    ``a_changes``/``b_changes``/``c_changes`` expose them as tuples of
-    (row, col, value) / (index, value) pairs.
+    Three sections of parallel (index, value) arrays, one each for A, b
+    and c; values are the *new* entries. An A index is the row-major flat
+    position ``row * n + col``, the number an order frame carries.
     """
 
-    a_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    a_cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    a_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     a_vals: np.ndarray = field(default_factory=lambda: np.empty(0))
     b_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     b_vals: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -151,52 +150,20 @@ class SparseDelta:
     c_vals: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        object.__setattr__(self, "a_rows", _index_array(self.a_rows))
-        object.__setattr__(self, "a_cols", _index_array(self.a_cols))
-        object.__setattr__(self, "a_vals", _readonly(self.a_vals))
-        object.__setattr__(self, "b_idx", _index_array(self.b_idx))
-        object.__setattr__(self, "b_vals", _readonly(self.b_vals))
-        object.__setattr__(self, "c_idx", _index_array(self.c_idx))
-        object.__setattr__(self, "c_vals", _readonly(self.c_vals))
-        if not (len(self.a_rows) == len(self.a_cols) == len(self.a_vals)):
-            raise ValueError("A-change arrays must have equal length")
-        if len(self.b_idx) != len(self.b_vals) or len(self.c_idx) != len(self.c_vals):
-            raise ValueError("index/value arrays must have equal length")
-        # duplicate positions within one delta are ill-defined
-        if len(self.a_rows) and _has_duplicates(
-                self.a_rows * (self.a_cols.max() + 1) + self.a_cols):
-            raise ValueError("duplicate A positions in delta")
-        if _has_duplicates(self.b_idx) or _has_duplicates(self.c_idx):
-            raise ValueError("duplicate positions in delta")
-
-    @classmethod
-    def from_changes(cls, a_changes=(), b_changes=(), c_changes=()) -> "SparseDelta":
-        ar = [r for r, _, _ in a_changes]
-        ac = [c for _, c, _ in a_changes]
-        av = [v for _, _, v in a_changes]
-        bi = [i for i, _ in b_changes]
-        bv = [v for _, v in b_changes]
-        ci = [j for j, _ in c_changes]
-        cv = [v for _, v in c_changes]
-        return cls(np.array(ar, dtype=np.int64), np.array(ac, dtype=np.int64), np.array(av, dtype=float),
-                   np.array(bi, dtype=np.int64), np.array(bv, dtype=float),
-                   np.array(ci, dtype=np.int64), np.array(cv, dtype=float))
-
-    @property
-    def a_changes(self) -> tuple:
-        return tuple(zip(self.a_rows.tolist(), self.a_cols.tolist(), self.a_vals.tolist()))
-
-    @property
-    def b_changes(self) -> tuple:
-        return tuple(zip(self.b_idx.tolist(), self.b_vals.tolist()))
-
-    @property
-    def c_changes(self) -> tuple:
-        return tuple(zip(self.c_idx.tolist(), self.c_vals.tolist()))
+        for name in ("a", "b", "c"):
+            idx = _index_array(getattr(self, f"{name}_idx"))
+            vals = _readonly(getattr(self, f"{name}_vals"))
+            if len(idx) != len(vals):
+                raise ValueError(f"{name}_idx and {name}_vals differ in length")
+            # duplicate positions within one delta are ill-defined
+            if _has_duplicates(idx):
+                raise ValueError(f"duplicate positions in {name}_idx")
+            object.__setattr__(self, f"{name}_idx", idx)
+            object.__setattr__(self, f"{name}_vals", vals)
 
     @property
     def size(self) -> int:
-        return len(self.a_rows) + len(self.b_idx) + len(self.c_idx)
+        return len(self.a_idx) + len(self.b_idx) + len(self.c_idx)
 
     def is_empty(self) -> bool:
         return self.size == 0
@@ -204,10 +171,8 @@ class SparseDelta:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseDelta):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("a_rows", "a_cols", "a_vals", "b_idx", "b_vals", "c_idx", "c_vals")
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 EMPTY_DELTA = SparseDelta()
@@ -281,15 +246,21 @@ def _step_delta(lp: DenseLP, drift: DriftSpec, k: int) -> SparseDelta:
     # per-step generator so any step is addressable in O(changes)
     rng = np.random.default_rng([drift.seed & 0xFFFFFFFFFFFFFFFF, k])
     na, nb, nc = change_counts(drift.delta, lp.m, lp.n)
-    flat = rng.choice(lp.m * lp.n, size=na, replace=False) if na else np.empty(0, dtype=np.int64)
-    # the draw has no repeats, so sorting it orders the positions row-major
-    rows, cols = np.divmod(np.sort(flat).astype(np.int64), lp.n)
-    bi = np.sort(rng.choice(lp.m, size=nb, replace=False)).astype(np.int64) if nb else np.empty(0, dtype=np.int64)
-    ci = np.sort(rng.choice(lp.n, size=nc, replace=False)).astype(np.int64) if nc else np.empty(0, dtype=np.int64)
-    av = lp.A[rows, cols] + _nonzero_noise(rng, na, drift.magnitude)
+    ai = _sorted_draw(rng, lp.m * lp.n, na)
+    bi = _sorted_draw(rng, lp.m, nb)
+    ci = _sorted_draw(rng, lp.n, nc)
+    av = lp.A.reshape(-1)[ai] + _nonzero_noise(rng, na, drift.magnitude)
     bv = lp.b[bi] + _nonzero_noise(rng, nb, drift.magnitude)
     cv = lp.c[ci] + _nonzero_noise(rng, nc, drift.magnitude)
-    return SparseDelta(rows, cols, av, bi, bv, ci, cv)
+    return SparseDelta(ai, av, bi, bv, ci, cv)
+
+
+def _sorted_draw(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """``count`` distinct positions below ``size``, ascending. The draw has
+    no repeats, so sorting it orders flat A positions row-major."""
+    if not count:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(rng.choice(size, size=count, replace=False)).astype(np.int64)
 
 
 def _nonzero_noise(rng: np.random.Generator, size: int, magnitude: float) -> np.ndarray:
@@ -326,31 +297,24 @@ def delta_between(prev: DenseLP, next_lp: DenseLP) -> SparseDelta:
         return EMPTY_DELTA
     if prev.A.shape != next_lp.A.shape:
         raise ValueError(f"shape mismatch: {prev.A.shape} vs {next_lp.A.shape}")
-    ar, ac = np.nonzero(prev.A != next_lp.A)
-    bi = np.nonzero(prev.b != next_lp.b)[0]
-    ci = np.nonzero(prev.c != next_lp.c)[0]
-    return SparseDelta(ar.astype(np.int64), ac.astype(np.int64), next_lp.A[ar, ac],
-                       bi.astype(np.int64), next_lp.b[bi],
-                       ci.astype(np.int64), next_lp.c[ci])
+    ai = np.flatnonzero(prev.A != next_lp.A)
+    bi = np.flatnonzero(prev.b != next_lp.b)
+    ci = np.flatnonzero(prev.c != next_lp.c)
+    return SparseDelta(ai, next_lp.A.reshape(-1)[ai], bi, next_lp.b[bi], ci, next_lp.c[ci])
 
 
 def apply_delta(lp: DenseLP, d: SparseDelta) -> DenseLP:
     """Updated copy of lp; untouched entries are bit-identical."""
     if d.is_empty():
         return lp
-    if len(d.a_rows) and (d.a_rows.min() < 0 or d.a_rows.max() >= lp.m
-                          or d.a_cols.min() < 0 or d.a_cols.max() >= lp.n):
-        raise IndexError("A-change index out of range")
-    if len(d.b_idx) and (d.b_idx.min() < 0 or d.b_idx.max() >= lp.m):
-        raise IndexError("b-change index out of range")
-    if len(d.c_idx) and (d.c_idx.min() < 0 or d.c_idx.max() >= lp.n):
-        raise IndexError("c-change index out of range")
     A = lp.A.copy()
     b = lp.b.copy()
     c = lp.c.copy()
-    A[d.a_rows, d.a_cols] = d.a_vals
-    b[d.b_idx] = d.b_vals
-    c[d.c_idx] = d.c_vals
+    for name, target in (("a", A.reshape(-1)), ("b", b), ("c", c)):
+        idx = getattr(d, f"{name}_idx")
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(target)):
+            raise IndexError(f"{name}_idx out of range")
+        target[idx] = getattr(d, f"{name}_vals")
     return DenseLP(A, b, c)
 
 

@@ -18,18 +18,18 @@ from .quest import FejerConfig, pseudo_project
 
 @dataclass(frozen=True)
 class CohortBest:
-    """The feasible argmax point of one cohort; empty when the whole cohort
-    lies outside the polytope."""
+    """One cohort's feasible argmax: the signed marker offset of the point
+    and its objective value, both empty when the whole cohort lies outside
+    the polytope. The point is ``point_of(cross, Marker(cohort, offset))``
+    on the cross the order was processed on."""
 
     cohort: int
-    point: np.ndarray | None = None
+    offset: int | None = None
     value: float | None = None
 
     def __post_init__(self):
-        if (self.point is None) != (self.value is None):
-            raise ValueError("point and value must be present together")
-        if self.point is not None:
-            object.__setattr__(self, "point", np.asarray(self.point, dtype=np.float64))
+        if (self.offset is None) != (self.value is None):
+            raise ValueError("offset and value must be present together")
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,8 @@ def _value_candidates(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.n
 
 def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     """Steps 2-4 restricted to the given cohorts: reconstruct each cohort's
-    points, drop the infeasible ones, and keep the feasible point with the
-    largest objective value.
+    points, drop the infeasible ones, and keep the marker offset and value
+    of the feasible point with the largest objective value.
 
     Feasibility gives the same verdict as ``max_violation(lp, p) == 0.0``
     on every point, without a full ``A @ p`` each. One ``A @ center - b``
@@ -163,7 +163,8 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     Values are screened the same way (see ``_value_candidates``): only the
     points whose rank-1 value lies within a rounding guard of their
     cohort's best get the exact ``max_violation`` fallback and an exact
-    ``objective_value`` on the built point; every point is still built.
+    ``objective_value`` on the built point. Every point is still built,
+    once, though only those candidates need it.
 
     Ties break deterministically: smallest |offset| first, negative before
     positive, so results are independent of how cohorts are partitioned
@@ -182,19 +183,16 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     order = sorted(range(len(offsets)), key=lambda k: (abs(offsets[k]), offsets[k] > 0))
     out = []
     for chi, ms, verdict, maybe in zip(chis, cohort_ms, verdicts.tolist(), candidates):
-        best_point = None
-        best_value = -math.inf
+        best_offset, best_value = None, -math.inf
         for k in order:
             p = point_of(cross, ms[k])
             if not maybe[k] or (verdict[k] == _UNSURE and max_violation(lp, p) != 0.0):
                 continue
             v = objective_value(lp, p)
             if v > best_value:
-                best_point, best_value = p, v
-        if best_point is None:
-            out.append(CohortBest(chi))
-        else:
-            out.append(CohortBest(chi, best_point, best_value))
+                best_offset, best_value = offsets[k], v
+        out.append(CohortBest(chi) if best_offset is None
+                   else CohortBest(chi, best_offset, best_value))
     return out
 
 
@@ -207,19 +205,21 @@ def evaluate(lp: DenseLP, state: TargetingState, bests: list[CohortBest]) -> Tar
     seen = sorted(b.cohort for b in bests)
     if seen != list(range(lp.n)):
         raise ValueError("bests must cover every cohort exactly once")
-    in_order = sorted(bests, key=lambda b: b.cohort)
-    q_points = [b.point for b in in_order if b.point is not None]
+    q = sorted((b for b in bests if b.offset is not None), key=lambda b: b.cohort)
     clock = state.clock + 1
-    if not q_points:
+    if not q:
         return replace(state, clock=clock, last_q_size=0, moved=False,
                        stalls=state.stalls + 1)
-    q_max = max(b.value for b in in_order if b.value is not None)
-    center = state.cross.center
-    if max_violation(lp, center) == 0.0 and objective_value(lp, center) >= q_max:
-        return replace(state, clock=clock, last_q_size=len(q_points), moved=False, stalls=0)
-    centroid = np.mean(np.vstack(q_points), axis=0)
-    return replace(state, cross=recenter(state.cross, centroid), clock=clock,
-                   last_q_size=len(q_points), moved=True, stalls=0)
+    q_max = max(b.value for b in q)
+    cross = state.cross
+    if max_violation(lp, cross.center) == 0.0 and objective_value(lp, cross.center) >= q_max:
+        return replace(state, clock=clock, last_q_size=len(q), moved=False, stalls=0)
+    # the q winners, built as point_of builds them: center plus offset * spacing
+    points = np.tile(cross.center, (len(q), 1))
+    points[np.arange(len(q)), [b.cohort for b in q]] += (
+        np.array([b.offset for b in q]) * cross.spacing)
+    return replace(state, cross=recenter(cross, points.mean(axis=0)), clock=clock,
+                   last_q_size=len(q), moved=True, stalls=0)
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,6 @@ class TargetingWorkload:
         self.rows: list[TraceRow] = []
         self.done = 0
         self.requests = 0
-        self._opt_cache: dict[int, float] = {}
 
     @property
     def cohort_count(self) -> int:
@@ -352,7 +351,7 @@ class TargetingWorkload:
         center = state.cross.center
         gap = math.nan
         if self.cfg.oracle_gap:
-            gap = self._optimum(prev_clock) - objective_value(lp, center)
+            gap = self._optimum() - objective_value(lp, center)
         self.rows.append(TraceRow(self.done, prev_clock, center,
                                   objective_value(lp, center),
                                   max_violation(lp, center), state.moved, gap,
@@ -367,15 +366,14 @@ class TargetingWorkload:
     def finalize(self) -> TrackingTrace:
         return TrackingTrace(rows=self.rows, requests=self.requests)
 
-    def _optimum(self, clock: int) -> float:
-        """The snapshot's exact optimum; NaN where it has none (infeasible or
-        unbounded), so that row's gap reads NaN as when the gap is off."""
-        if clock not in self._opt_cache:
-            from .oracle import solve_simplex
+    def _optimum(self) -> float:
+        """The current snapshot's exact optimum; NaN where it has none
+        (infeasible or unbounded), so that row's gap reads NaN as when the
+        gap is off."""
+        from .oracle import solve_simplex
 
-            res = solve_simplex(self.lp)
-            self._opt_cache[clock] = res.value if res.status == "optimal" else math.nan
-        return self._opt_cache[clock]
+        res = solve_simplex(self.lp)
+        return res.value if res.status == "optimal" else math.nan
 
 
 def run_targeting(problem: NonStationaryLP, z, cfg: TargetingConfig,

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from nslp import (BsfExecutor, Cross, DenseLP, DriftSpec, NonStationaryLP, Order,
+from nslp import (BsfExecutor, Cross, DenseLP, DriftSpec, Marker, NonStationaryLP, Order,
                   ScenarioModel, TargetingConfig, cohort_markers,
                   delta_between, evaluate, fejer_step, marker_of, markers,
                   max_violation, model_n, model_n_optimum, order_to_bytes, point_of,
@@ -79,9 +79,9 @@ def test_criterion_04_hand_computed_targeting_step(unit_square):
     t0 = time.perf_counter()
     cross = Cross(center=np.array([0.5, 0.5]), spacing=0.25, points_per_cohort=4)
     bests = process_cohorts(unit_square, cross, [0, 1])
-    assert np.array_equal(bests[0].point, np.array([1.0, 0.5]))
+    assert np.array_equal(point_of(cross, Marker(0, bests[0].offset)), np.array([1.0, 0.5]))
     assert bests[0].value == 1.5
-    assert np.array_equal(bests[1].point, np.array([0.5, 1.0]))
+    assert np.array_equal(point_of(cross, Marker(1, bests[1].offset)), np.array([0.5, 1.0]))
     assert bests[1].value == 1.5
     state = evaluate(unit_square, TargetingState(cross=cross, clock=0), bests)
     assert np.array_equal(state.cross.center, np.array([0.75, 0.75]))

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,8 +19,9 @@ from nslp import (BsfExecutor, BsfRecorder, BsfWorkerError, Cross, DriftSpec,
                   block_partition, evaluate, make_order, model_n,
                   model_n_optimum, order_from_bytes, order_to_bytes,
                   process_cohorts, replay_orders, run_targeting, snapshot)
-from nslp.bsf import WorkerResult, _Pool, load_order_stream, save_order_stream
-from nslp.targeting import TargetingConfig, TargetingState, TargetingWorkload
+from nslp.bsf import WorkerResult, _Pool
+from nslp.targeting import (TargetingConfig, TargetingState, TargetingWorkerSetup,
+                            TargetingWorkload)
 
 
 class TrivialSetup:
@@ -108,9 +110,9 @@ def test_block_partition_errors():
 
 
 def test_order_roundtrip():
-    delta = SparseDelta.from_changes(
-        a_changes=[(0, 1, 2.5), (3, 0, -1.25)], b_changes=[(2, 7.0)],
-        c_changes=[(1, 0.5), (3, -0.125)])
+    # A positions (0, 1) and (3, 0) of a problem with n = 4 columns
+    delta = SparseDelta(a_idx=[0 * 4 + 1, 3 * 4 + 0], a_vals=[2.5, -1.25],
+                        b_idx=[2], b_vals=[7.0], c_idx=[1, 3], c_vals=[0.5, -0.125])
     order = Order(theta=np.array([1.0, -2.0, 0.5, 3.25]), delta=delta, clock=42)
     back = order_from_bytes(order_to_bytes(order))
     assert np.array_equal(back.theta, order.theta)
@@ -131,7 +133,7 @@ def test_order_size_grows_with_changes():
     n = 16
     sizes = []
     for k in (0, 4, 8):
-        delta = SparseDelta.from_changes(a_changes=[(0, j, 1.0) for j in range(k)])
+        delta = SparseDelta(a_idx=list(range(k)), a_vals=[1.0] * k)
         sizes.append(len(order_to_bytes(Order(theta=np.zeros(n), delta=delta, clock=0))))
     assert sizes[1] - sizes[0] == 4 * 12
     assert sizes[2] - sizes[1] == 4 * 12
@@ -143,12 +145,28 @@ def test_order_trailing_bytes_rejected():
         order_from_bytes(raw + b"\x00")
 
 
-def test_order_stream_file_roundtrip(tmp_path):
-    frames = [order_to_bytes(Order(theta=np.full(2, float(i)), delta=SparseDelta(), clock=i))
-              for i in range(3)]
-    path = tmp_path / "orders.bin"
-    save_order_stream(path, frames)
-    assert load_order_stream(path) == frames
+def test_order_of_another_dimension_fails_on_the_worker():
+    # flat A positions are read against the worker's own n; a center of the
+    # wrong length still stops at the dimension check
+    setup = TargetingWorkerSetup(model_n(2), 0.5, 2)
+    state = setup.init_state(0, [0, 1])
+    order = Order(theta=np.zeros(3), delta=SparseDelta(a_idx=[4], a_vals=[2.0]), clock=0)
+    with pytest.raises(ValueError, match="dimension"):
+        setup.process_order(state, order_from_bytes(order_to_bytes(order)))
+
+
+def test_worker_result_carries_markers_not_points():
+    # the parent's result for these 100 cohorts pickled to 165 kB: one
+    # n-float point per cohort
+    n = 200
+    x, _ = model_n_optimum(n)
+    start = np.maximum(x - np.random.default_rng(4242).uniform(0.0, 2.0, n), 0.0)
+    bests = process_cohorts(model_n(n), Cross(start, 1.0, 8), range(100))
+    assert all(b.offset is not None for b in bests)
+    result = WorkerResult(0, tuple(bests))
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    assert len(payload) < 8_000
+    assert pickle.loads(payload) == result
 
 
 # --- orders carry exactly the changed entries ---------------------------------
@@ -184,7 +202,7 @@ def test_one_row_regime_order_budget():
 
 
 def test_make_order_reconstructs_target_state(unit_square):
-    nxt = apply_delta(unit_square, SparseDelta.from_changes(b_changes=[(0, 2.0)]))
+    nxt = apply_delta(unit_square, SparseDelta(b_idx=[0], b_vals=[2.0]))
     order = make_order(unit_square, nxt, np.array([0.5, 0.5]), 3)
     assert order.clock == 3
     assert np.array_equal(order.theta, np.array([0.5, 0.5]))
@@ -484,11 +502,5 @@ def test_record_replay_bit_reproduces_results():
     setup = TargetingWorkload(problem, z, cfg, 12).init(2, partition)
     for w in range(2):
         replayed = replay_orders(setup, w, partition[w], recorder.orders)
-        for it, bests in enumerate(replayed):
-            recorded = recorder.results[it][w].bests
-            assert len(bests) == len(recorded)
-            for a, b in zip(bests, recorded):
-                assert a.cohort == b.cohort and a.value == b.value
-                if a.point is not None:
-                    assert np.array_equal(a.point, b.point)
+        assert replayed == [results[w].bests for results in recorder.results]
 

@@ -228,6 +228,47 @@ def test_run_rejects_bad_latency_before_any_pass(tmp_path, monkeypatch, capsys, 
     assert passes == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "4", "--iters", "2", "--workers", "0,2", "--backend", "sim"],
+    ["track", "--n", "4", "--iters", "2", "--workers", "9"],
+    ["predict", "--n", "50", "--workers", "0,2"],
+])
+def test_bad_worker_counts_are_usage_errors_that_create_nothing(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "q1")])
+    assert exc.value.code == 2
+    assert "worker counts" in capsys.readouterr().err
+    assert not (tmp_path / "q1").exists()
+
+
+def test_predict_checks_every_dimension_before_writing(tmp_path, capsys):
+    assert main(["predict", "--n", "50,1", "--workers", "1,2",
+                 "--out", str(tmp_path / "q2")]) == 1
+    assert "dimension" in capsys.readouterr().err
+    assert not (tmp_path / "q2").exists()
+
+
+def test_run_rejects_latency_on_the_pool(tmp_path, monkeypatch, capsys):
+    passes = []
+    monkeypatch.setattr("nslp.cli.run_targeting", lambda *args: passes.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--n", "6", "--iters", "3", "--workers", "1,2", "--backend", "pool",
+              "--latency-ns", "123", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--latency-ns" in capsys.readouterr().err
+    assert passes == []
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("extra, latency", [([], 1e4), (["--latency-ns", "123"], 123.0)])
+def test_run_sim_writes_its_latency(tmp_path, extra, latency):
+    out = tmp_path / "sim"
+    assert _run(["run", "--n", "6", "--iters", "2", "--workers", "1,2", "--backend", "sim",
+                 "--spacing", "0.5", "--k", "2", *extra, "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().strip().split("\n")[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [latency, latency]
+
+
 def test_track_near_optimum_meets_oracle_gap_bound(tmp_path, capsys):
     # stationary synthetic instance, tracked from beside its known optimum:
     # the final gap to the exact optimum stays under s*sqrt(n)*max|c|

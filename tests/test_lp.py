@@ -113,7 +113,8 @@ def test_random_sparse_change_accounting(delta):
 
 def _step_delta_by_argsort(lp, drift, k):
     """The random-sparse step as first written: draw, split, then a stable
-    argsort of the positions. Kept as the reference for ``_step_delta``."""
+    argsort of the positions. Kept as the reference for ``_step_delta``;
+    positions come back flat, as ``SparseDelta`` stores them."""
     rng = np.random.default_rng([drift.seed & 0xFFFFFFFFFFFFFFFF, k])
     na, nb, nc = change_counts(drift.delta, lp.m, lp.n)
     flat = rng.choice(lp.m * lp.n, size=na, replace=False) if na else np.empty(0, dtype=np.int64)
@@ -125,7 +126,7 @@ def _step_delta_by_argsort(lp, drift, k):
     av = lp.A[rows, cols] + _nonzero_noise(rng, na, drift.magnitude)
     bv = lp.b[bi] + _nonzero_noise(rng, nb, drift.magnitude)
     cv = lp.c[ci] + _nonzero_noise(rng, nc, drift.magnitude)
-    return rows, cols, av, bi, bv, ci, cv
+    return rows * lp.n + cols, av, bi, bv, ci, cv
 
 
 @pytest.mark.parametrize("n", [5, 100])
@@ -136,7 +137,7 @@ def test_step_delta_matches_the_argsort_construction(n, delta, seed):
     lp = model_n(n)
     for k in range(3):
         d = _step_delta(lp, drift, k)
-        fields = (d.a_rows, d.a_cols, d.a_vals, d.b_idx, d.b_vals, d.c_idx, d.c_vals)
+        fields = (d.a_idx, d.a_vals, d.b_idx, d.b_vals, d.c_idx, d.c_vals)
         for got, want in zip(fields, _step_delta_by_argsort(lp, drift, k)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         lp = apply_delta(lp, d)
@@ -184,8 +185,8 @@ def test_delta_between_single_entry():
     prev = DenseLP(A=np.eye(2), b=np.array([1.0, 1.0]), c=np.ones(2))
     nxt = DenseLP(A=np.eye(2), b=np.array([1.0, 2.0]), c=np.ones(2))
     d = delta_between(prev, nxt)
-    assert d.b_changes == ((1, 2.0),)
-    assert d.a_changes == () and d.c_changes == ()
+    assert d.b_idx.tolist() == [1] and d.b_vals.tolist() == [2.0]
+    assert len(d.a_idx) == len(d.a_vals) == len(d.c_idx) == len(d.c_vals) == 0
 
 
 def test_delta_between_shape_mismatch(unit_square):
@@ -194,7 +195,7 @@ def test_delta_between_shape_mismatch(unit_square):
 
 
 def test_apply_delta_point_update(unit_square):
-    d = SparseDelta.from_changes(a_changes=[(0, 0, 5.0)])
+    d = SparseDelta(a_idx=[0], a_vals=[5.0])
     out = apply_delta(unit_square, d)
     assert out.A[0, 0] == 5.0
     ref = unit_square.A.copy()
@@ -206,32 +207,48 @@ def test_apply_delta_point_update(unit_square):
 
 def test_apply_delta_out_of_range(unit_square):
     with pytest.raises(IndexError):
-        apply_delta(unit_square, SparseDelta.from_changes(a_changes=[(5, 0, 1.0)]))
+        apply_delta(unit_square, SparseDelta(a_idx=[5 * 2 + 0], a_vals=[1.0]))
     with pytest.raises(IndexError):
-        apply_delta(unit_square, SparseDelta.from_changes(b_changes=[(-1, 1.0)]))
+        apply_delta(unit_square, SparseDelta(b_idx=[-1], b_vals=[1.0]))
     with pytest.raises(IndexError):
-        apply_delta(unit_square, SparseDelta.from_changes(c_changes=[(2, 1.0)]))
+        apply_delta(unit_square, SparseDelta(c_idx=[2], c_vals=[1.0]))
+
+
+def test_apply_delta_rejects_flat_positions_past_the_end(unit_square):
+    m, n = unit_square.A.shape
+    last = apply_delta(unit_square, SparseDelta(a_idx=[m * n - 1], a_vals=[9.0]))
+    assert last.A[m - 1, n - 1] == 9.0
+    with pytest.raises(IndexError, match="a_idx out of range"):
+        apply_delta(unit_square, SparseDelta(a_idx=[m * n], a_vals=[1.0]))
+    with pytest.raises(IndexError, match="a_idx out of range"):
+        apply_delta(unit_square, SparseDelta(a_idx=[-1], a_vals=[1.0]))
 
 
 def test_sparse_delta_rejects_duplicates():
     with pytest.raises(ValueError):
-        SparseDelta.from_changes(a_changes=[(0, 0, 1.0), (0, 0, 2.0)])
+        SparseDelta(a_idx=[0, 0], a_vals=[1.0, 2.0])
     with pytest.raises(ValueError):
-        SparseDelta.from_changes(b_changes=[(1, 1.0), (1, 2.0)])
+        SparseDelta(b_idx=[1, 1], b_vals=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_sparse_delta_rejects_sections_of_unequal_length(name):
+    with pytest.raises(ValueError, match=f"{name}_idx and {name}_vals differ in length"):
+        SparseDelta(**{f"{name}_idx": [0, 1], f"{name}_vals": [1.0]})
 
 
 def test_sparse_delta_rejects_unsorted_duplicates():
-    with pytest.raises(ValueError, match="duplicate A positions"):
-        SparseDelta(a_rows=[1, 0, 1], a_cols=[2, 0, 2], a_vals=[1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="duplicate positions"):
+    with pytest.raises(ValueError, match="duplicate positions in a_idx"):
+        SparseDelta(a_idx=[5, 0, 5], a_vals=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="duplicate positions in b_idx"):
         SparseDelta(b_idx=[3, 0, 3], b_vals=[1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="duplicate positions"):
+    with pytest.raises(ValueError, match="duplicate positions in c_idx"):
         SparseDelta(c_idx=[1, 0, 1], c_vals=[1.0, 2.0, 3.0])
 
 
 def test_sparse_delta_accepts_unsorted_unique_positions():
     lp = model_n(3)
-    d = SparseDelta(a_rows=[1, 0, 1], a_cols=[2, 0, 0], a_vals=[5.0, 6.0, 7.0],
+    d = SparseDelta(a_idx=[1 * 3 + 2, 0, 1 * 3 + 0], a_vals=[5.0, 6.0, 7.0],
                     b_idx=[2, 0, 1], b_vals=[8.0, 9.0, 10.0],
                     c_idx=[1, 0], c_vals=[11.0, 12.0])
     out = apply_delta(lp, d)
@@ -244,10 +261,9 @@ def test_sparse_delta_accepts_unsorted_unique_positions():
 @given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8))
 def test_sparse_delta_duplicate_verdict_matches_set_semantics(pairs):
     rows = [r for r, _ in pairs]
-    cols = [c for _, c in pairs]
     repeated = len(set(pairs)) != len(pairs)
     try:
-        SparseDelta(a_rows=rows, a_cols=cols, a_vals=[1.0] * len(pairs))
+        SparseDelta(a_idx=[r * 4 + c for r, c in pairs], a_vals=[1.0] * len(pairs))
     except ValueError:
         assert repeated
     else:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nslp.targeting
 from nslp import (BsfExecutor, CohortBest, Cross, DenseLP, DriftSpec, FejerConfig,
-                  NonStationaryLP, TargetingConfig, TargetingState, cohort_markers,
+                  Marker, NonStationaryLP, TargetingConfig, TargetingState, cohort_markers,
                   evaluate, max_violation, model_n, model_n_optimum, objective_value,
                   point_of, process_cohorts, run_targeting, snapshot)
 from nslp.targeting import TargetingWorkload
@@ -18,11 +18,12 @@ def _square_cross() -> Cross:
 
 
 def test_unit_square_cohort_bests(unit_square):
-    bests = process_cohorts(unit_square, _square_cross(), [0, 1])
+    cross = _square_cross()
+    bests = process_cohorts(unit_square, cross, [0, 1])
     assert [b.cohort for b in bests] == [0, 1]
-    assert np.array_equal(bests[0].point, np.array([1.0, 0.5]))
+    assert np.array_equal(point_of(cross, Marker(0, bests[0].offset)), np.array([1.0, 0.5]))
     assert bests[0].value == 1.5
-    assert np.array_equal(bests[1].point, np.array([0.5, 1.0]))
+    assert np.array_equal(point_of(cross, Marker(1, bests[1].offset)), np.array([0.5, 1.0]))
     assert bests[1].value == 1.5
 
 
@@ -39,14 +40,15 @@ def test_cohort_entirely_outside_polytope(unit_square):
     cross = Cross(center=np.array([5.0, 5.0]), spacing=0.1, points_per_cohort=2)
     bests = process_cohorts(unit_square, cross, [0])
     assert bests == [CohortBest(0)]
-    assert bests[0].point is None and bests[0].value is None
+    assert bests[0].offset is None and bests[0].value is None
 
 
 def test_singleton_feasible_point_wins_regardless_of_value(unit_square):
     cross = Cross(center=np.array([0.9, 0.5]), spacing=0.2, points_per_cohort=2)
     bests = process_cohorts(unit_square, cross, [0])
     # only the negative-offset point is inside; it wins despite a lower value
-    assert np.allclose(bests[0].point, [0.7, 0.5])
+    assert bests[0].offset == -1
+    assert np.allclose(point_of(cross, Marker(0, bests[0].offset)), [0.7, 0.5])
     assert bests[0].value < objective_value(unit_square, cross.center)
 
 
@@ -55,7 +57,7 @@ def test_argmax_tie_break_prefers_small_negative_offsets():
     cross = Cross(center=np.array([0.5, 0.5]), spacing=0.1, points_per_cohort=4)
     bests = process_cohorts(lp, cross, [0])
     # every cohort-0 point has the same value; smallest |offset|, negative first
-    assert np.array_equal(bests[0].point, np.array([0.4, 0.5]))
+    assert np.array_equal(point_of(cross, Marker(0, bests[0].offset)), np.array([0.4, 0.5]))
 
 
 def test_dimension_mismatch_rejected(unit_square):
@@ -70,26 +72,17 @@ def _process_cohorts_exact(lp, cross, cohorts):
     for bit."""
     out = []
     for chi in sorted(int(c) for c in cohorts):
-        best_point, best_value = None, -math.inf
+        best_offset, best_value = None, -math.inf
         ms = sorted(cohort_markers(cross, chi), key=lambda m: (abs(m.offset), m.offset > 0))
         for m in ms:
             p = point_of(cross, m)
             if max_violation(lp, p) == 0.0:
                 v = objective_value(lp, p)
                 if v > best_value:
-                    best_point, best_value = p, v
-        out.append(CohortBest(chi) if best_point is None
-                   else CohortBest(chi, best_point, best_value))
+                    best_offset, best_value = m.offset, v
+        out.append(CohortBest(chi) if best_offset is None
+                   else CohortBest(chi, best_offset, best_value))
     return out
-
-
-def _assert_same_bests(got, want):
-    assert [b.cohort for b in got] == [b.cohort for b in want]
-    for g, w in zip(got, want):
-        assert (g.point is None) == (w.point is None)
-        if w.point is not None:
-            assert g.point.tobytes() == w.point.tobytes()
-            assert g.value == w.value
 
 
 def _random_center(rng, n, theta):
@@ -161,8 +154,7 @@ def test_screened_cohorts_match_the_exact_loop(seed, kind, k):
     whole = list(range(n))
     subset = [c for c in whole if rng.random() < 0.5] or [int(rng.integers(0, n))]
     for cohorts in (whole, subset):
-        _assert_same_bests(process_cohorts(lp, cross, cohorts),
-                           _process_cohorts_exact(lp, cross, cohorts))
+        assert process_cohorts(lp, cross, cohorts) == _process_cohorts_exact(lp, cross, cohorts)
 
 
 def _value_test_objective(rng, n):
@@ -194,8 +186,8 @@ def test_screened_values_match_the_exact_loop(seed, k):
     subset = [c for c in whole if rng.random() < 0.5] or [int(rng.integers(0, n))]
     with np.errstate(over="ignore", invalid="ignore"):
         for cohorts in (whole, subset):
-            _assert_same_bests(process_cohorts(lp, cross, cohorts),
-                               _process_cohorts_exact(lp, cross, cohorts))
+            assert (process_cohorts(lp, cross, cohorts)
+                    == _process_cohorts_exact(lp, cross, cohorts))
 
 
 def _counting(monkeypatch, name):
@@ -218,11 +210,11 @@ def test_objective_value_runs_once_per_nonempty_cohort(monkeypatch):
     values = _counting(monkeypatch, "objective_value")
     builds = _counting(monkeypatch, "point_of")
     bests = process_cohorts(model_n(n), cross, range(n))
-    nonempty = sum(b.point is not None for b in bests)
+    nonempty = sum(b.offset is not None for b in bests)
     assert nonempty > 0
     assert len(values) == nonempty
     assert len(builds) == n * k
-    _assert_same_bests(bests, _process_cohorts_exact(model_n(n), cross, range(n)))
+    assert bests == _process_cohorts_exact(model_n(n), cross, range(n))
 
 
 @pytest.mark.parametrize("drift", [DriftSpec(), DriftSpec(kind="random-sparse", delta=0.2,
@@ -247,7 +239,7 @@ def test_cohort_on_an_all_zero_column_matches_the_exact_loop():
     # no row of A touches x_1, so the screen sees no nonzero entry at all
     lp = DenseLP(A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.array([1.0, 3.0]), c=np.ones(2))
     cross = Cross(np.array([0.5, 0.5]), 0.25, 4)
-    _assert_same_bests(process_cohorts(lp, cross, [1]), _process_cohorts_exact(lp, cross, [1]))
+    assert process_cohorts(lp, cross, [1]) == _process_cohorts_exact(lp, cross, [1])
 
 
 def test_point_landing_on_a_face_goes_to_the_exact_check(unit_square, monkeypatch):
@@ -262,7 +254,7 @@ def test_point_landing_on_a_face_goes_to_the_exact_check(unit_square, monkeypatc
     monkeypatch.setattr(nslp.targeting, "max_violation", counting)
     bests = process_cohorts(unit_square, _square_cross(), [0, 1])
     assert checked == [[1.0, 0.5], [0.5, 1.0]]
-    _assert_same_bests(bests, _process_cohorts_exact(unit_square, _square_cross(), [0, 1]))
+    assert bests == _process_cohorts_exact(unit_square, _square_cross(), [0, 1])
 
 
 def test_overflowing_points_go_to_the_exact_check(unit_square):
@@ -270,8 +262,8 @@ def test_overflowing_points_go_to_the_exact_check(unit_square):
     # meets 0 * inf, and the screen must not decide such points itself
     cross = Cross(np.array([1.7e308, 5.0]), 1e308, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_same_bests(process_cohorts(unit_square, cross, [0, 1]),
-                           _process_cohorts_exact(unit_square, cross, [0, 1]))
+        assert (process_cohorts(unit_square, cross, [0, 1])
+                == _process_cohorts_exact(unit_square, cross, [0, 1]))
 
 
 def test_nan_residual_is_a_violation(unit_square):
@@ -279,7 +271,7 @@ def test_nan_residual_is_a_violation(unit_square):
     with np.errstate(over="ignore", invalid="ignore"):
         assert max_violation(unit_square, np.array([math.inf, 5.0])) != 0.0
         bests = process_cohorts(unit_square, Cross(np.array([1.7e308, 5.0]), 1e308, 2), [0, 1])
-    assert [(b.cohort, b.point) for b in bests] == [(0, None), (1, None)]
+    assert bests == [CohortBest(0), CohortBest(1)]
 
 
 def test_evaluate_moves_to_centroid(unit_square):
@@ -315,6 +307,32 @@ def test_evaluate_empty_q_stalls(unit_square):
     assert np.array_equal(new.cross.center, cross.center)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 4, 8]),
+       spacing=st.sampled_from([1e-17, 1e-9, 0.25, 1.0, 3.7]))
+def test_evaluate_centroid_is_the_mean_of_the_built_winners(seed, k, spacing):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    center = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+    center[int(rng.integers(0, n))] = -1.0  # infeasible: evaluate never holds
+    cross = Cross(center, spacing, k)
+    offsets = [e for e in range(-k // 2, k // 2 + 1) if e != 0]
+    bests = [CohortBest(chi) if rng.random() < 0.3
+             else CohortBest(chi, int(rng.choice(offsets)), float(rng.normal()))
+             for chi in range(n)]
+    won = [b for b in bests if b.offset is not None]
+    new = evaluate(model_n(n), TargetingState(cross=cross, clock=0),
+                   [bests[i] for i in rng.permutation(n)])
+    assert new.last_q_size == len(won)
+    if not won:
+        assert not new.moved and new.stalls == 1
+        return
+    want = np.mean(np.vstack([point_of(cross, Marker(b.cohort, b.offset)) for b in won]),
+                   axis=0)
+    assert new.moved
+    assert new.cross.center.tobytes() == want.tobytes()
+
+
 def test_evaluate_rejects_bad_cohort_cover(unit_square):
     state = TargetingState(cross=_square_cross(), clock=0)
     with pytest.raises(ValueError):
@@ -342,12 +360,7 @@ def test_partition_completeness(unit_square):
     for split in ([[0, 1, 2], [3, 4, 5]], [[0], [1, 2], [3, 4, 5]], [[5], [0, 1, 2, 3, 4]]):
         merged = [b for part in split for b in process_cohorts(lp, cross, part)]
         merged.sort(key=lambda b: b.cohort)
-        assert len(merged) == len(whole)
-        for a, b in zip(whole, merged):
-            assert a.cohort == b.cohort and a.value == b.value
-            assert (a.point is None) == (b.point is None)
-            if a.point is not None:
-                assert np.array_equal(a.point, b.point)
+        assert merged == whole
 
 
 def test_run_targeting_single_iteration_reproduces_hand_step(unit_square):
