@@ -13,7 +13,7 @@ from .lp import DenseLP, max_violation
 
 @dataclass(frozen=True)
 class SimplexResult:
-    status: str  # "optimal" | "unbounded" | "infeasible"
+    status: str  # "optimal" | "unbounded" | "infeasible" | "failed"
     x_opt: np.ndarray | None = None
     value: float | None = None
     iterations: int = 0
@@ -27,17 +27,19 @@ class SimplexResult:
 
 def solve_simplex(lp: DenseLP) -> SimplexResult:
     """Solve max <c,x>, Ax <= b, x >= 0 with HiGHS's dual simplex, which
-    returns a vertex.
+    returns a vertex, or where it has no verdict with the interior-point
+    method and its crossover; status "failed" if neither has one.
 
     scipy is imported here, not at module level: every farm worker imports
     nslp, and scipy.optimize would add about half a second to its boot.
     """
     from scipy.optimize import linprog
 
-    res = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs-ds")
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
-    if status is None:
-        raise RuntimeError(f"HiGHS failed: {res.message}")
+    for method in ("highs-ds", "highs-ipm"):
+        res = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method=method)
+        status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
+        if status != "failed":
+            break
     if status != "optimal":
         return SimplexResult(status, iterations=res.nit)
     x = np.maximum(res.x, 0.0)  # clamp solver dust on active bounds

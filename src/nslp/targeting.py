@@ -61,18 +61,22 @@ _INFEASIBLE, _FEASIBLE, _UNSURE = 0, 1, 2
 def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) -> np.ndarray:
     """Feasibility verdicts for the points ``center + steps[k] * e_chi`` of
     the given cohorts, shape (cohorts, steps), from one product
-    ``r0 = A @ center - b`` for all of them.
+    ``r0 = A @ center - b`` and one pass over the cohort columns' nonzeros.
 
     A point on axis ``j`` has residual ``r0 + t * A[:, j]``, with ``t`` its
     move. Rows with ``A[i, j] == 0`` get an exact zero term for column ``j``
     in ``A @ p``, so they keep ``r0[i]`` (up to the sign of zero) and decide
-    on its sign. Every other row decides only when its rank-1 estimate lies
-    outside the guard ``2(n+2)eps * (|A_i|@|center| + |b_i| + |a t|)``,
-    twice the first-order bound on the rounding error of the two dot
-    products and the update. A point with no row over the guard and some
-    row inside it is _UNSURE; so is every point when ``r0`` or a coordinate
-    is not finite.
-    """
+    on its sign. A row with ``a = A[i, j] != 0`` decides outside the guard
+    ``g_i + gamma|a t|``, ``g_i = gamma(|A_i|@|center| + |b_i|) + tiny`` and
+    ``gamma = 2(n+2)eps``, twice the first-order bound on the rounding error.
+    Sure, ``t(a + gamma|a| sgn t) < -(r0_i + g_i)``, and not over, ``t(a -
+    gamma|a| sgn t) <= g_i - r0_i``, bound ``t`` above where ``a > 0`` and
+    below where ``a < 0``: per side of ``t = 0`` a cohort has a sure and a
+    wider not-over interval. Finite ends move in (sure) or out (not-over) by
+    ``8eps|end| + tiny``, more than their quotients round, so a point inside
+    the first is surely _FEASIBLE and one outside the second is surely
+    _INFEASIBLE. Others are _UNSURE, as are all when ``r0`` or a coordinate
+    is not finite."""
     A, center = lp.A, cross.center
     cols = np.asarray(cohorts, dtype=np.intp)
     r0 = A @ center - lp.b
@@ -84,31 +88,40 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) ->
     # nonnegativity: the point copies the center everywhere but on its axis
     negative = center < 0.0
     ok = ((np.count_nonzero(negative) - negative[cols]) == 0)[:, None] & (coords >= 0.0)
-    ri, ci = np.nonzero((A != 0.0)[:, cols])
+    marks = np.arange(len(cols) + 1) * len(r0)
+    flat = np.flatnonzero((A != 0.0).T[cols])  # the nonzeros by cohort, then row
+    bounds = np.searchsorted(flat, marks)
+    counts = np.diff(bounds)
+    ri = flat - np.repeat(marks[:-1], counts)
     # zero rows: no row over b at the center may be zero in the column
     positive = r0 > 0.0
-    zero_over = np.count_nonzero(positive) - np.bincount(ci[positive[ri]], minlength=len(cols))
-    ok &= (zero_over == 0)[:, None]
-    a = A[ri, cols[ci]]
-    r0_nz = r0[ri]
-    new_row = np.diff(ri, prepend=-1) != 0  # ri comes sorted from np.nonzero
-    rows = ri[new_row]
-    row_of = np.cumsum(new_row) - 1
+    ok &= (np.diff(np.searchsorted(flat[positive[ri]], marks)) == positive.sum())[:, None]
+    rows = np.flatnonzero(np.bincount(ri, minlength=len(r0)))
     mag = A[rows]
     np.abs(mag, out=mag)
-    scale = (mag @ np.abs(center) + np.abs(lp.b[rows]))[row_of]
-    gamma = 2.0 * (lp.n + 2) * np.finfo(np.float64).eps
-    tiny = np.finfo(np.float64).tiny  # absorbs underflow in the products
-    over = np.zeros(coords.shape, dtype=bool)
-    unsure = np.zeros(coords.shape, dtype=bool)
-    for k in range(coords.shape[1]):
-        at = a * t[ci, k]
-        est = r0_nz + at
-        guard = gamma * (scale + np.abs(at)) + tiny
-        over[:, k] = np.bincount(ci[est > guard], minlength=len(cols)) > 0
-        unsure[:, k] = np.bincount(ci[~(np.abs(est) > guard)], minlength=len(cols)) > 0
-    ok &= ~over
-    return np.where(ok, np.where(unsure, _UNSURE, _FEASIBLE), _INFEASIBLE).astype(np.int8)
+    f64 = np.finfo(np.float64)
+    gamma = 2.0 * (lp.n + 2) * f64.eps
+    g = np.zeros_like(r0)
+    g[rows] = gamma * (mag @ np.abs(center) + np.abs(lp.b[rows])) + f64.tiny
+    del mag  # as large as A: free it before the per-nonzero arrays
+    a = A.take(ri * lp.n + np.repeat(cols, counts))
+    # per nonzero: the sure and not-over ends, upper ones and then minus lower ones
+    x = np.empty((4, len(a)))
+    with np.errstate(over="ignore"):
+        np.stack([-(r0 + g), g - r0]).take(ri, axis=1, out=x[:2])
+        np.maximum(x[:2], np.copysign(np.inf, a), out=x[2:])  # kept where a < 0
+        np.maximum(x[:2], np.copysign(np.inf, -a), out=x[:2])  # kept where a > 0
+        x /= np.abs(a, out=a)
+        ends = np.full((4, len(cols)), np.inf)
+        ends[:, counts > 0] = np.minimum.reduceat(x, bounds[:-1][counts > 0], axis=1)
+        ends += np.array([[-1.0], [1.0], [-1.0], [1.0]]) * np.where(  # sure ends shrink
+            np.isfinite(ends), 8.0 * f64.eps * np.abs(ends) + f64.tiny, 0.0)
+        # sure ends over 1 + gamma sgn(a) sgn(t), not-over ends over 1 - ...
+        div = 1.0 + gamma * np.array([[1.0], [-1.0], [-1.0], [1.0]]) * np.sign(steps)
+        e = ends[:, :, None] / div[:, None, :]
+    ok &= (t <= e[1]) & (-t <= e[3])
+    sure = (t < e[0]) & (-t < e[2])
+    return np.where(ok, np.where(sure, _FEASIBLE, _UNSURE), _INFEASIBLE).astype(np.int8)
 
 
 def _value_candidates(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
@@ -151,14 +164,14 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
 
     Feasibility gives the same verdict as ``max_violation(lp, p) == 0.0``
     on every point, without a full ``A @ p`` each. One ``A @ center - b``
-    per call screens all points through their rank-1 residuals (see
-    ``_screen``). Rows with a zero in the point's column decide on the
-    center's residual; that relies on BLAS summing a row in an order that
-    does not depend on the vector's values. Other rows decide outside a
-    rounding guard of ``2(n+2)eps * (|A|@|center| + |b| + |a t|)``; a point
-    with a row inside the guard and none over it falls back to the exact
-    ``max_violation``. Nonnegativity is checked exactly, on the coordinate
-    ``point_of`` writes.
+    and one ratio test over the cohort columns' nonzeros give each cohort
+    the moves that every row surely satisfies and a wider interval outside
+    which some row is surely over, past a rounding guard (see ``_screen``).
+    A point between the two falls back to the exact ``max_violation``. Rows
+    with a zero in the point's column decide on the center's residual;
+    that relies on BLAS summing a row in an order that does not depend on
+    the vector's values. Nonnegativity is checked exactly, on the
+    coordinate ``point_of`` writes.
 
     Values are screened the same way (see ``_value_candidates``): only the
     points whose rank-1 value lies within a rounding guard of their
@@ -367,9 +380,9 @@ class TargetingWorkload:
         return TrackingTrace(rows=self.rows, requests=self.requests)
 
     def _optimum(self) -> float:
-        """The current snapshot's exact optimum; NaN where it has none
-        (infeasible or unbounded), so that row's gap reads NaN as when the
-        gap is off."""
+        """The current snapshot's exact optimum; NaN where there is none
+        (infeasible, unbounded or the solver failed), so that row's gap
+        reads NaN as when the gap is off."""
         from .oracle import solve_simplex
 
         res = solve_simplex(self.lp)

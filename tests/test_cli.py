@@ -295,6 +295,23 @@ def test_track_oracle_gap_under_random_drift(tmp_path, capsys):
     assert all(np.isfinite(float(r.split(",")[-1])) for r in rows)
 
 
+def test_track_oracle_gap_where_the_dual_simplex_has_no_verdict(tmp_path, capsys):
+    # HiGHS's dual simplex ends the snapshot at clock 15 with model status
+    # Unknown; the interior-point retry gives its optimum, 32507.61
+    out = tmp_path / "unknown"
+    assert _run(["track", "--n", "100", "--delta", "full", "--drift", "random",
+                 "--drift-magnitude", "1e-5", "--seed", "3", "--oracle-gap", "on",
+                 "--iters", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "trace.csv").read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 20
+    assert all(np.isfinite(float(r["oracle_gap"])) for r in rows)
+    at15 = next(r for r in rows if r["clock"] == "15")
+    assert (float(at15["oracle_gap"]) + float(at15["objective"])
+            == pytest.approx(32507.61, abs=0.01))
+
+
 def test_track_near_opt_rejects_problem_file(tmp_path):
     path = tmp_path / "prob.txt"
     write_problem(model_n(4), path)

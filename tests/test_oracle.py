@@ -1,15 +1,18 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
 import nslp
-from nslp import (DenseLP, DriftSpec, NonStationaryLP, max_violation, model_n,
-                  model_n_optimum, project_bruteforce, snapshot, solve_simplex)
+from nslp import (BsfExecutor, DenseLP, DriftSpec, NonStationaryLP, TargetingConfig,
+                  max_violation, model_n, model_n_optimum, project_bruteforce, run_targeting,
+                  snapshot, solve_simplex)
 from nslp.cost_model import delta_fraction
 
 
@@ -189,6 +192,35 @@ def test_feasible_drifted_snapshot_is_solved():
 
 def test_drifted_out_snapshot_is_infeasible():
     assert solve_simplex(snapshot(_cli_drift_scenario(), 100)).status == "infeasible"
+
+
+def test_dual_simplex_without_a_verdict_falls_back_to_interior_point():
+    # HiGHS's dual simplex ends this snapshot with model status Unknown
+    lp = snapshot(NonStationaryLP(model_n(100), DriftSpec("random-sparse", delta=1.0,
+                                                          magnitude=1e-5, seed=701)), 11)
+    res = solve_simplex(lp)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(32508.39, abs=0.01)
+    assert max_violation(lp, res.x_opt) <= 1e-9
+
+
+def test_solver_failure_is_a_status_and_a_nan_gap(unit_square, monkeypatch):
+    import scipy.optimize
+
+    methods = []
+
+    def failing(*args, method, **kwargs):
+        methods.append(method)
+        return SimpleNamespace(status=4, message="numerical difficulties", nit=7)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    res = solve_simplex(unit_square)
+    assert methods == ["highs-ds", "highs-ipm"]
+    assert res.status == "failed" and res.value is None
+    cfg = TargetingConfig(points_per_cohort=4, spacing=0.25, oracle_gap=True)
+    trace = run_targeting(NonStationaryLP(unit_square), np.array([0.5, 0.5]), cfg, 2,
+                          BsfExecutor())
+    assert [math.isnan(r.oracle_gap) for r in trace.rows] == [True, True]
 
 
 def test_importing_nslp_leaves_scipy_unloaded():

@@ -242,6 +242,63 @@ def test_cohort_on_an_all_zero_column_matches_the_exact_loop():
     assert process_cohorts(lp, cross, [1]) == _process_cohorts_exact(lp, cross, [1])
 
 
+def test_all_zero_columns_in_the_middle_and_last_match_the_exact_loop():
+    # columns 1 and 3 are all zero; x_2 <= 0.6 is the last row of column 2,
+    # the row a cohort run cut short at its end would lose
+    A = np.array([[1.0, 0.0, 1.0, 0.0],
+                  [-1.0, 0.0, -2.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    lp = DenseLP(A, np.array([2.0, 0.0, 0.6]), np.ones(4))
+    cross = Cross(np.full(4, 0.5), 0.25, 4)
+    for cohorts in ([0, 1, 2, 3], [1, 2, 3], [2, 3], [3]):
+        assert process_cohorts(lp, cross, cohorts) == _process_cohorts_exact(lp, cross, cohorts)
+    assert process_cohorts(lp, cross, [2, 3])[0] == CohortBest(2, -1, 1.75)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_signed_last_column_matches_the_exact_loop(sign):
+    # every nonzero of column 2 has one sign, so one of its ends is open
+    A = np.array([[1.0, -1.0, sign * 1.0],
+                  [-1.0, 1.0, sign * 2.0],
+                  [2.0, 1.0, sign * 0.5]])
+    center = np.array([0.5, 0.5, 1.0])
+    lp = DenseLP(A, A @ center + np.array([0.3, 0.7, 0.2]), np.array([1.0, -1.0, sign]))
+    cross = Cross(center, 0.25, 8)
+    for cohorts in ([0, 2], [1, 2], [2]):
+        assert process_cohorts(lp, cross, cohorts) == _process_cohorts_exact(lp, cross, cohorts)
+
+
+def test_points_on_both_interval_ends_go_to_the_exact_check(monkeypatch):
+    # 0.25 <= x_0 <= 1: offset -1 lands on the lower end (a row with a < 0)
+    # and offset +2 on the upper end; the screen decides neither, and with
+    # every cohort-0 value tied both stay candidates for the best
+    lp = DenseLP(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -0.25]),
+                 np.array([0.0, 1.0]))
+    cross = _square_cross()
+    checked = []
+
+    def counting(lp, p):
+        checked.append(p.tolist())
+        return max_violation(lp, p)
+
+    monkeypatch.setattr(nslp.targeting, "max_violation", counting)
+    bests = process_cohorts(lp, cross, [0])
+    assert sorted(checked) == [[0.25, 0.5], [1.0, 0.5]]
+    assert bests == _process_cohorts_exact(lp, cross, [0]) == [CohortBest(0, -1, 0.5)]
+
+
+@pytest.mark.parametrize("b0", [2e17, 1e17, 5e16])
+def test_steps_lost_to_rounding_match_the_exact_loop(b0):
+    # (1e17 + s) - 1e17 == 0 for s <= 4: every cohort-0 point is the center,
+    # strictly inside, exactly on the face and outside it in turn
+    lp = DenseLP(np.eye(2), np.array([b0, 1.0]), np.ones(2))
+    cross = Cross(np.array([1e17, 0.5]), 1.0, 8)
+    assert ((cross.center[0] + 4.0) - cross.center[0]) == 0.0
+    bests = process_cohorts(lp, cross, [0, 1])
+    assert bests == _process_cohorts_exact(lp, cross, [0, 1])
+    assert (bests[0].offset is None) == (b0 < 1e17)
+
+
 def test_point_landing_on_a_face_goes_to_the_exact_check(unit_square, monkeypatch):
     # the offset +2 points sit exactly on x_i <= 1, where the rank-1
     # estimate reads 0 and cannot be trusted; everything else is screened
