@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import pickle
 import statistics
@@ -320,8 +321,12 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
 def _pool_context():
     """The start method of every pool in this process: one fork server,
     started at the first pool, that forks each worker with numpy and nslp
-    already imported. It never imports the driver's ``__main__``, and it is
-    stopped and reaped when this process exits."""
+    already imported. The server never imports the driver's ``__main__``,
+    but each worker runs the driver script as ``__mp_main__`` as it starts,
+    so a driver needs a ``__main__`` guard. The server is stopped and reaped
+    when this process exits. Each pool measures ``L`` once per start, before
+    the first order: the median of ``BsfExecutor.latency_rounds`` (64 by
+    default) one-byte round trips to worker 0, halved."""
     import multiprocessing as mp
     from multiprocessing import forkserver, util
 
@@ -493,11 +498,15 @@ class BsfExecutor:
     backend: str = "sequential-sim"
     p_workers: int = 1
     sim_timing: SimTiming = field(default_factory=SimTiming)
-    latency_rounds: int = 1000
+    latency_rounds: int = 64
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        for name in ("p_workers", "latency_rounds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def run(self, workload, recorder: BsfRecorder | None = None):
         """Run a workload through the farm; returns (final state, RunMetrics).

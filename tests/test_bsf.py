@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -272,13 +273,12 @@ def test_pool_metrics_identities():
     problem = NonStationaryLP(base=model_n(n))
     z = _near_optimum_start(n)
     cfg = TargetingConfig(points_per_cohort=4, spacing=0.25)
-    trace = run_targeting(problem, z, cfg, 10,
-                          BsfExecutor("worker-pool", 2, latency_rounds=50))
+    trace = run_targeting(problem, z, cfg, 10, BsfExecutor("worker-pool", 2))
     m = trace.metrics
     assert m.p_workers == 2
     assert m.t_w_ns == 2 * m.t_v_ns
     assert m.t_v_ns > 0
-    assert m.latency_ns > 0
+    assert m.latency_ns > 0 and math.isfinite(m.latency_ns)
     assert m.iterations == 10
     assert m.iter_ns > 0
 
@@ -475,6 +475,14 @@ def test_executor_takes_only_the_farm_backend_names():
     for name in ("pool", "sim"):
         with pytest.raises(ValueError, match="backend must be one of"):
             BsfExecutor(name, 1)
+
+
+@pytest.mark.parametrize("field", ["p_workers", "latency_rounds"])
+@pytest.mark.parametrize("value", [0, -5, 2.5, 1.0, True, "2", None])
+def test_executor_rejects_bad_counts_before_any_process_starts(field, value):
+    with pytest.raises(ValueError, match=field):
+        BsfExecutor("worker-pool", **{field: value})
+    assert getattr(BsfExecutor("worker-pool", **{field: 1}), field) == 1
 
 
 @pytest.mark.parametrize("field", ["latency_ns", "send_ns", "work_ns_per_cohort",

@@ -287,6 +287,31 @@ def test_points_on_both_interval_ends_go_to_the_exact_check(monkeypatch):
     assert bests == _process_cohorts_exact(lp, cross, [0]) == [CohortBest(0, -1, 0.5)]
 
 
+@pytest.mark.parametrize("a, x0, b", [(3.0, 0.0, 7.0), (-3.0, 2.0, -1.0)])
+def test_screen_ends_carry_the_rounding_widening(a, x0, b):
+    # white box, one row a*x_0 + x_1 <= b with cohort 0 moving toward it: the
+    # sure end moves in by 8eps|end| + tiny and is divided by 1 + gamma, the
+    # not-over end moves out and is divided by 1 - gamma. A point on either
+    # widened end is _UNSURE; one ulp inside the sure end is _FEASIBLE and
+    # one ulp past the not-over end _INFEASIBLE
+    lp = DenseLP(np.array([[a, 1.0]]), np.array([b]), np.ones(2))
+    center = np.array([x0, 0.5])
+    f64 = np.finfo(np.float64)
+    gamma = 2.0 * (lp.n + 2) * f64.eps
+    r0 = (lp.A @ center - lp.b)[0]
+    g = gamma * (np.abs(lp.A) @ np.abs(center) + abs(b))[0] + f64.tiny
+    sure = -(r0 + g) / abs(a)
+    sure = (sure - (8.0 * f64.eps * abs(sure) + f64.tiny)) / (1.0 + gamma)
+    over = (g - r0) / abs(a)
+    over = (over + (8.0 * f64.eps * abs(over) + f64.tiny)) / (1.0 - gamma)
+    steps = np.sign(a) * np.array([np.nextafter(sure, 0.0), sure,
+                                   over, np.nextafter(over, np.inf)])
+    assert np.array_equal((x0 + steps) - x0, steps)  # every move is exact
+    tg = nslp.targeting
+    verdicts = tg._screen(lp, Cross(center, 1.0, 2), [0], steps)
+    assert verdicts.tolist() == [[tg._FEASIBLE, tg._UNSURE, tg._UNSURE, tg._INFEASIBLE]]
+
+
 @pytest.mark.parametrize("b0", [2e17, 1e17, 5e16])
 def test_steps_lost_to_rounding_match_the_exact_loop(b0):
     # (1e17 + s) - 1e17 == 0 for s <= 4: every cohort-0 point is the center,
