@@ -260,7 +260,7 @@ def _sorted_draw(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
     no repeats, so sorting it orders flat A positions row-major."""
     if not count:
         return np.empty(0, dtype=np.int64)
-    return np.sort(rng.choice(size, size=count, replace=False)).astype(np.int64)
+    return np.sort(rng.choice(size, size=count, replace=False))
 
 
 def _nonzero_noise(rng: np.random.Generator, size: int, magnitude: float) -> np.ndarray:

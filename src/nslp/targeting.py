@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bsf import Order, RunMetrics, WorkerResult, make_order
-from .cross import Cross, cohort_markers, point_of, recenter
+from .cross import Cross, _cohort_markers, point_of, recenter
 from .lp import (DenseLP, NonStationaryLP, advance, apply_delta, max_violation,
                  objective_value, snapshot)
 from .quest import FejerConfig, pseudo_project
@@ -58,7 +58,38 @@ class TargetingState:
 _INFEASIBLE, _FEASIBLE, _UNSURE = 0, 1, 2
 
 
-def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) -> np.ndarray:
+class _ScreenPlan:
+    """What ``_screen`` needs that depends only on which entries of ``A``
+    are zero: the index of the cohort columns' nonzeros, and reusable
+    buffers for their per-call values.
+
+    ``fit`` compares the zero mask of ``A`` and the cohorts with the ones the
+    plan was built from and rebuilds the plan when either differs, so a
+    stale index is never used; while they hold, a call only refills the
+    buffers. A worker keeps one plan across orders."""
+
+    def __init__(self):
+        self.cols = self.zero = None
+
+    def fit(self, A: np.ndarray, cols: np.ndarray) -> _ScreenPlan:
+        zero = A == 0.0
+        if (self.zero is not None and np.array_equal(cols, self.cols)
+                and np.array_equal(zero, self.zero)):
+            return self
+        coh, ri = np.nonzero(~zero.T[cols])  # the nonzeros by cohort, then row
+        counts = np.bincount(coh, minlength=len(cols))
+        self.cols, self.zero, self.ri = cols.copy(), zero, ri
+        self.pos = ri * A.shape[1] + cols[coh]  # flat A positions
+        self.nonempty = counts > 0
+        self.starts = (np.cumsum(counts) - counts)[self.nonempty]  # reduceat starts
+        self.rows = np.flatnonzero(~zero[:, cols].all(axis=1))  # the rows they touch
+        self.a, self.x = np.empty(len(ri)), np.empty((4, len(ri)))
+        self.mag = np.empty((len(self.rows), A.shape[1]))  # |A[rows]|
+        return self
+
+
+def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
+            plan: _ScreenPlan | None = None) -> np.ndarray:
     """Feasibility verdicts for the points ``center + steps[k] * e_chi`` of
     the given cohorts, shape (cohorts, steps), from one product
     ``r0 = A @ center - b`` and one pass over the cohort columns' nonzeros.
@@ -76,7 +107,11 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) ->
     ``8eps|end| + tiny``, more than their quotients round, so a point inside
     the first is surely _FEASIBLE and one outside the second is surely
     _INFEASIBLE. Others are _UNSURE, as are all when ``r0`` or a coordinate
-    is not finite."""
+    is not finite.
+
+    The nonzero index comes from ``plan`` fitted to this ``A``, or from one
+    built for this call. Values are read from ``A`` on every call, so the
+    verdicts do not depend on the plan's age. The returned array is new."""
     A, center = lp.A, cross.center
     cols = np.asarray(cohorts, dtype=np.intp)
     r0 = A @ center - lp.b
@@ -84,36 +119,31 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray) ->
     coords = c + steps        # the coordinate point_of writes, bit for bit
     if not (np.isfinite(r0).all() and np.isfinite(coords).all()):
         return np.full(coords.shape, _UNSURE, dtype=np.int8)
+    plan = (plan or _ScreenPlan()).fit(A, cols)
     t = coords - c
     # nonnegativity: the point copies the center everywhere but on its axis
     negative = center < 0.0
     ok = ((np.count_nonzero(negative) - negative[cols]) == 0)[:, None] & (coords >= 0.0)
-    marks = np.arange(len(cols) + 1) * len(r0)
-    flat = np.flatnonzero((A != 0.0).T[cols])  # the nonzeros by cohort, then row
-    bounds = np.searchsorted(flat, marks)
-    counts = np.diff(bounds)
-    ri = flat - np.repeat(marks[:-1], counts)
     # zero rows: no row over b at the center may be zero in the column
-    positive = r0 > 0.0
-    ok &= (np.diff(np.searchsorted(flat[positive[ri]], marks)) == positive.sum())[:, None]
-    rows = np.flatnonzero(np.bincount(ri, minlength=len(r0)))
-    mag = A[rows]
-    np.abs(mag, out=mag)
+    ok &= ~plan.zero[r0 > 0.0].any(axis=0)[cols, None]
+    # the plan's indices are in range: "clip" only skips take's buffered check
+    rows, mag, a, x = plan.rows, plan.mag, plan.a, plan.x
+    np.abs(A.take(rows, axis=0, out=mag, mode="clip"), out=mag)
     f64 = np.finfo(np.float64)
     gamma = 2.0 * (lp.n + 2) * f64.eps
     g = np.zeros_like(r0)
     g[rows] = gamma * (mag @ np.abs(center) + np.abs(lp.b[rows])) + f64.tiny
-    del mag  # as large as A: free it before the per-nonzero arrays
-    a = A.take(ri * lp.n + np.repeat(cols, counts))
-    # per nonzero: the sure and not-over ends, upper ones and then minus lower ones
-    x = np.empty((4, len(a)))
+    A.take(plan.pos, out=a, mode="clip")
+    # per nonzero: the sure and not-over ends, upper ones and then minus lower
+    # ones; x / a is -(x / |a|) exactly where a < 0
     with np.errstate(over="ignore"):
-        np.stack([-(r0 + g), g - r0]).take(ri, axis=1, out=x[:2])
-        np.maximum(x[:2], np.copysign(np.inf, a), out=x[2:])  # kept where a < 0
-        np.maximum(x[:2], np.copysign(np.inf, -a), out=x[:2])  # kept where a > 0
-        x /= np.abs(a, out=a)
+        np.stack([-(r0 + g), g - r0]).take(plan.ri, axis=1, out=x[:2], mode="clip")
+        x[:2] /= a
+        inf = np.copysign(np.inf, a, out=a)
+        np.maximum(np.negative(x[:2], out=x[2:]), inf, out=x[2:])  # kept where a < 0
+        np.maximum(x[:2], np.negative(inf, out=inf), out=x[:2])  # kept where a > 0
         ends = np.full((4, len(cols)), np.inf)
-        ends[:, counts > 0] = np.minimum.reduceat(x, bounds[:-1][counts > 0], axis=1)
+        ends[:, plan.nonempty] = np.minimum.reduceat(x, plan.starts, axis=1)
         ends += np.array([[-1.0], [1.0], [-1.0], [1.0]]) * np.where(  # sure ends shrink
             np.isfinite(ends), 8.0 * f64.eps * np.abs(ends) + f64.tiny, 0.0)
         # sure ends over 1 + gamma sgn(a) sgn(t), not-over ends over 1 - ...
@@ -157,7 +187,8 @@ def _value_candidates(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.n
     return maybe & (est + guard >= floor)
 
 
-def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
+def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
+                    plan: _ScreenPlan | None = None) -> list[CohortBest]:
     """Steps 2-4 restricted to the given cohorts: reconstruct each cohort's
     points, drop the infeasible ones, and keep the marker offset and value
     of the feasible point with the largest objective value.
@@ -173,6 +204,9 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     the vector's values. Nonnegativity is checked exactly, on the
     coordinate ``point_of`` writes.
 
+    A worker passes the screen plan it keeps across orders (see
+    ``_ScreenPlan``); without one, a plan is built for this call.
+
     Values are screened the same way (see ``_value_candidates``): only the
     points whose rank-1 value lies within a rounding guard of their
     cohort's best get the exact ``max_violation`` fallback and an exact
@@ -186,12 +220,15 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts) -> list[CohortBest]:
     if lp.n != cross.dimension:
         raise ValueError(f"problem dimension {lp.n} != cross dimension {cross.dimension}")
     chis = sorted(int(c) for c in cohorts)
-    cohort_ms = [cohort_markers(cross, chi) for chi in chis]
     if not chis:
         return []
+    if not 0 <= chis[0] <= chis[-1] < cross.dimension:
+        chi = chis[0] if chis[0] < 0 else chis[-1]
+        raise ValueError(f"cohort {chi} out of range for dimension {cross.dimension}")
+    cohort_ms = [_cohort_markers(cross.points_per_cohort, chi) for chi in chis]
     offsets = [m.offset for m in cohort_ms[0]]
     steps = np.array(offsets) * cross.spacing
-    verdicts = _screen(lp, cross, chis, steps)
+    verdicts = _screen(lp, cross, chis, steps, plan)
     candidates = _value_candidates(lp, cross, chis, steps, verdicts).tolist()
     order = sorted(range(len(offsets)), key=lambda k: (abs(offsets[k]), offsets[k] > 0))
     out = []
@@ -278,11 +315,13 @@ class TrackingTrace:
 class _WorkerState:
     lp: DenseLP
     cohorts: tuple
+    plan: _ScreenPlan = field(default_factory=_ScreenPlan, compare=False)
 
 
 @dataclass(frozen=True)
 class TargetingWorkerSetup:
-    """Worker-side half of the workload; picklable, pure in (state, order)."""
+    """Worker-side half of the workload; picklable, pure in (state, order).
+    The state's screen plan is a cache that every call checks against its LP."""
 
     lp0: DenseLP
     spacing: float
@@ -294,8 +333,8 @@ class TargetingWorkerSetup:
     def process_order(self, state: _WorkerState, order: Order):
         lp = apply_delta(state.lp, order.delta)
         cross = Cross(order.theta, self.spacing, self.points_per_cohort)
-        bests = process_cohorts(lp, cross, state.cohorts)
-        return _WorkerState(lp, state.cohorts), tuple(bests)
+        bests = process_cohorts(lp, cross, state.cohorts, state.plan)
+        return replace(state, lp=lp), tuple(bests)
 
 
 class TargetingWorkload:

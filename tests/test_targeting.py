@@ -10,7 +10,8 @@ from nslp import (BsfExecutor, CohortBest, Cross, DenseLP, DriftSpec, FejerConfi
                   Marker, NonStationaryLP, TargetingConfig, TargetingState, cohort_markers,
                   evaluate, max_violation, model_n, model_n_optimum, objective_value,
                   point_of, process_cohorts, run_targeting, snapshot)
-from nslp.targeting import TargetingWorkload
+from nslp.bsf import make_order
+from nslp.targeting import TargetingWorkerSetup, TargetingWorkload
 
 
 def _square_cross() -> Cross:
@@ -64,6 +65,12 @@ def test_dimension_mismatch_rejected(unit_square):
     cross = Cross(center=np.zeros(3), spacing=0.1, points_per_cohort=2)
     with pytest.raises(ValueError):
         process_cohorts(unit_square, cross, [0])
+
+
+@pytest.mark.parametrize("cohorts", [[-1], [2], [0, 5], [-3, 1]])
+def test_out_of_range_cohort_rejected(unit_square, cohorts):
+    with pytest.raises(ValueError, match="out of range"):
+        process_cohorts(unit_square, _square_cross(), cohorts)
 
 
 def _process_cohorts_exact(lp, cross, cohorts):
@@ -231,8 +238,93 @@ def test_screened_run_traces_match_the_exact_loop(monkeypatch, drift, p):
         return run_targeting(problem, z, cfg, 30, BsfExecutor("sequential-sim", p)).csv_text()
 
     screened = trace_text()
-    monkeypatch.setattr(nslp.targeting, "process_cohorts", _process_cohorts_exact)
+    monkeypatch.setattr(nslp.targeting, "process_cohorts",
+                        lambda lp, cross, cohorts, plan=None:
+                        _process_cohorts_exact(lp, cross, cohorts))
     assert screened == trace_text()
+
+
+def _row6_snapshots():
+    """Snapshots of ``x_i <= 10`` (i < 6) plus one row that changes its zero
+    pattern from each snapshot to the next: zeros turn into nonzeros, then
+    back into exact 0.0, and the row ends violated at the center ones(6)."""
+    def lp(row, b6):
+        A = np.vstack([np.eye(6), row])
+        return DenseLP(A, np.append(np.full(6, 10.0), b6), np.ones(6))
+
+    return [lp([0, 0, 0, 0, 0, 1.0], 2.0),
+            lp([0.25, 0.25, 0.25, 0.25, 0.25, 1.0], 2.75),  # a move past 2 is over
+            lp([0, 0, 0, 0, 0, 1.0], 2.0),
+            lp([0, 0.5, 0, 0.5, 0, 1.0], 3.0),
+            lp([0, 0.5, 0, 0.5, 0, 0], 1.5),
+            lp([0, 0.5, 0, 0.5, 0, 0], 0.5)]  # over at the center
+
+
+class _ScriptedSnapshots:
+    """A farm workload that sends one order per snapshot, each the delta
+    from the one before, around a fixed center, and keeps the merged bests."""
+
+    def __init__(self, lps, cross):
+        self.lps, self.cross, self.bests = lps, cross, []
+
+    @property
+    def cohort_count(self):
+        return self.cross.dimension
+
+    def init(self, p_workers, partition):
+        return TargetingWorkerSetup(self.lps[0], self.cross.spacing,
+                                    self.cross.points_per_cohort)
+
+    def make_order(self):
+        k = len(self.bests)
+        return make_order(self.lps[max(k - 1, 0)], self.lps[k], self.cross.center, k)
+
+    def merge_results(self, results):
+        return sorted((b for r in results for b in r.bests), key=lambda b: b.cohort)
+
+    def evaluate(self, bests):
+        self.bests.append(bests)
+
+    def exit_check(self):
+        return len(self.bests) == len(self.lps)
+
+    def finalize(self):
+        return self.bests
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_worker_plan_follows_the_zero_pattern_of_every_order(p):
+    lps = _row6_snapshots()
+    cross = Cross(np.ones(6), 1.0, 8)
+    bests, _ = BsfExecutor("sequential-sim", p).run(_ScriptedSnapshots(lps, cross))
+    for lp, got in zip(lps, bests):
+        assert got == _process_cohorts_exact(lp, cross, range(6))
+    assert bests[1][0] == CohortBest(0, 2, 8.0)  # not the stale 4
+
+
+def test_screen_results_are_not_views_of_the_plan():
+    tg = nslp.targeting
+    lp = _row6_snapshots()[1]
+    steps = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+    plan = tg._ScreenPlan()
+    crosses = [Cross(np.ones(6), 1.0, 8), Cross(np.full(6, 3.0), 1.0, 8)]
+    first = tg._screen(lp, crosses[0], range(6), steps, plan)
+    kept = first.copy()
+    bests = process_cohorts(lp, crosses[0], range(6), plan)
+    kept_bests = list(bests)
+    assert not np.array_equal(tg._screen(lp, crosses[1], range(6), steps, plan), kept)
+    assert process_cohorts(lp, crosses[1], range(6), plan) != kept_bests
+    assert np.array_equal(first, kept)
+    assert bests == kept_bests == _process_cohorts_exact(lp, crosses[0], range(6))
+
+
+def test_one_plan_follows_a_change_of_cohorts():
+    lp = _row6_snapshots()[3]
+    cross = Cross(np.ones(6), 1.0, 8)
+    plan = nslp.targeting._ScreenPlan()
+    for cohorts in ([0, 1], [2, 3], [1, 3, 5], range(6)):
+        assert (process_cohorts(lp, cross, cohorts, plan)
+                == _process_cohorts_exact(lp, cross, cohorts))
 
 
 def test_cohort_on_an_all_zero_column_matches_the_exact_loop():
