@@ -6,8 +6,9 @@ One master loop drives both backends, which differ only in how an order
 frame reaches the workers and their results come back, and must produce
 identical outputs: ``sequential-sim`` runs everything in-process with a
 deterministic synthetic clock, ``worker-pool`` runs workers in processes
-forked from a fork server that has numpy and nslp preloaded (so it needs a
-POSIX start method), connected by pipes, and reports measured timings.
+forked from a fork server that has numpy, nslp and the driver's
+standard-library and nslp imports preloaded (so it needs a POSIX start
+method), connected by pipes, and reports measured timings.
 ``BsfExecutor(backend, p_workers).run(workload)`` is the farm's only entry
 point.
 
@@ -37,8 +38,10 @@ import os
 import pickle
 import statistics
 import struct
+import sys
 import time
 import traceback
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,16 +320,34 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
             pass
 
 
+def _driver_imports(namespace: dict) -> list[str]:
+    """The standard-library and nslp modules bound in a driver's top-level
+    ``namespace``, sorted: each module by its name, each imported function
+    or class by its ``__module__``. Other modules are left out: they may
+    start threads or fail with more than the ``ImportError`` a fork server
+    forgives, which would fork workers from a threaded server or kill it."""
+    names = set()
+    for value in namespace.values():
+        if isinstance(value, types.ModuleType):
+            names.add(value.__name__)
+        elif isinstance(value, (type, types.FunctionType, types.BuiltinFunctionType)):
+            names.add(value.__module__)
+    keep = sys.stdlib_module_names | {"nslp"}
+    return sorted(name for name in names if isinstance(name, str)
+                  and name.partition(".")[0] in keep and name != "builtins")
+
+
 @functools.cache
 def _pool_context():
     """The start method of every pool in this process: one fork server,
-    started at the first pool, that forks each worker with numpy and nslp
-    already imported. The server never imports the driver's ``__main__``,
-    but each worker runs the driver script as ``__mp_main__`` as it starts,
-    so a driver needs a ``__main__`` guard. The server is stopped and reaped
-    when this process exits. Each pool measures ``L`` once per start, before
-    the first order: the median of ``BsfExecutor.latency_rounds`` (64 by
-    default) one-byte round trips to worker 0, halved."""
+    started at the first pool, that forks each worker with numpy, nslp and
+    the driver's standard-library and nslp imports already loaded. Each
+    worker still runs the driver as ``__mp_main__`` as it starts (so a
+    driver needs a ``__main__`` guard), but finds those imports done. The
+    server is stopped and reaped when this process exits. Each pool
+    measures ``L`` once per start, before the first order: the median of
+    ``BsfExecutor.latency_rounds`` (64 by default) one-byte round trips to
+    worker 0, halved."""
     import multiprocessing as mp
     from multiprocessing import forkserver, util
 
@@ -342,7 +363,8 @@ def _pool_context():
         os.environ["PYTHONPATH"] = os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")]))
     ctx = mp.get_context("forkserver")
-    ctx.set_forkserver_preload(["numpy", "nslp"])
+    driver = _driver_imports(vars(sys.modules["__main__"]))
+    ctx.set_forkserver_preload(list(dict.fromkeys(["numpy", "nslp", *driver])))
     # priority < 0 runs after multiprocessing has joined the live children
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     return ctx

@@ -257,10 +257,15 @@ def _step_delta(lp: DenseLP, drift: DriftSpec, k: int) -> SparseDelta:
 
 def _sorted_draw(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
     """``count`` distinct positions below ``size``, ascending. The draw has
-    no repeats, so sorting it orders flat A positions row-major."""
+    no repeats, so sorting it orders flat A positions row-major. A draw of
+    every position sorts to ``arange(size)``; it is still made, because the
+    draws after it read the generator state it leaves."""
     if not count:
         return np.empty(0, dtype=np.int64)
-    return np.sort(rng.choice(size, size=count, replace=False))
+    drawn = rng.choice(size, size=count, replace=False)
+    if count == size:
+        return np.arange(size, dtype=np.int64)
+    return np.sort(drawn)
 
 
 def _nonzero_noise(rng: np.random.Generator, size: int, magnitude: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import multiprocessing
@@ -20,7 +21,7 @@ from nslp import (BsfExecutor, BsfRecorder, BsfWorkerError, Cross, DriftSpec,
                   block_partition, evaluate, make_order, model_n,
                   model_n_optimum, order_from_bytes, order_to_bytes,
                   process_cohorts, replay_orders, run_targeting, snapshot)
-from nslp.bsf import WorkerResult, _Pool
+from nslp.bsf import WorkerResult, _driver_imports, _Pool
 from nslp.targeting import (TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
 
@@ -363,11 +364,12 @@ def test_failed_worker_start_stops_the_started_workers(monkeypatch, fault):
     assert multiprocessing.active_children() == []
 
 
-def _run_driver(script, env=os.environ):
-    """Run ``script`` in a fresh interpreter that imports this nslp."""
+def _run_driver(*argv, env=os.environ):
+    """Run the interpreter on ``argv`` (a script, or ``-m`` and a module with
+    its arguments) in a fresh process that imports this nslp."""
     src = str(Path(nslp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(script)], env={**env, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, *map(str, argv)], env={**env, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
 
 
@@ -419,7 +421,7 @@ def two_pool_runs(tmp_path_factory):
                 seen, _ = pool.run(ProbeWorkload())
                 print(json.dumps({"master": os.getpid(), "workers": seen}), flush=True)
         """))
-    done = _run_driver(script, {k: v for k, v in os.environ.items() if k not in _BLAS_VARS})
+    done = _run_driver(script, env={k: v for k, v in os.environ.items() if k not in _BLAS_VARS})
     assert done.returncode == 0, done.stderr
     return [json.loads(line) for line in done.stdout.splitlines()]
 
@@ -457,6 +459,41 @@ def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):
     assert done.returncode != 0
     assert "BsfWorkerError" in done.stderr
     assert re.search(r"exit code 1\b", done.stderr), done.stderr
+
+
+def test_cli_module_drives_the_pool(tmp_path):
+    # run by module name, so each worker re-runs nslp.cli as __mp_main__
+    # with init_main_from_name rather than from a script path
+    out = tmp_path / "out"
+    done = _run_driver("-m", "nslp.cli", "run", "--n", "6", "--iters", "3", "--workers", "1,2",
+                       "--backend", "pool", "--k", "2", "--spacing", "0.5", "--out", out)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "efficiency.svg", "metrics.csv", "predicted.csv", "results.csv", "speedup.svg",
+        "trace.csv"]
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+
+
+def test_fork_server_preloads_only_the_drivers_stdlib_and_nslp_imports():
+    namespace = {"__name__": "__main__", "__builtins__": builtins}
+    exec(textwrap.dedent("""\
+        import json, os
+        from json import dumps
+        from os import path
+        from pathlib import PurePath
+        from time import perf_counter
+        from nslp.cli import main
+        import numpy as np
+
+        def helper():
+            pass
+
+        class Probe:
+            pass
+        """), namespace)
+    assert _driver_imports(namespace) == [
+        "json", "nslp.cli", "os", "pathlib", "posixpath", "time"]
 
 
 def test_worker_count_validation(unit_square):
