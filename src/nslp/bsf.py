@@ -125,6 +125,23 @@ def metrics_to_csv(rows, path) -> None:
             fh.write(r.csv_row() + "\n")
 
 
+def metrics_from_csv(path) -> list[RunMetrics]:
+    """The rows ``metrics_to_csv`` wrote, with the seven CSV fields set."""
+    rows = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != RunMetrics.CSV_HEADER:
+            raise ValueError(f"unexpected metrics header {header!r}")
+        for line in fh:
+            p, latency, ts, tv, tr, tp, tw = line.strip().split(",")
+            rows.append(RunMetrics(p_workers=int(p), latency_ns=float(latency),
+                                   t_s_ns=float(ts), t_v_ns=float(tv), t_r_ns=float(tr),
+                                   t_p_ns=float(tp), t_w_ns=float(tw)))
+    if not rows:
+        raise ValueError("metrics file has no rows")
+    return rows
+
+
 @dataclass(frozen=True)
 class SimTiming:
     """Synthetic per-unit costs charged by the sequential simulator."""
@@ -382,12 +399,12 @@ class _Pool:
         children = []
         try:
             for w, part in enumerate(partition):
-                parent, child = ctx.Pipe(duplex=True)
-                self.conns.append(parent)
-                children.append(child)
-                proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part)),
-                                   daemon=True)
                 try:
+                    parent, child = ctx.Pipe(duplex=True)
+                    self.conns.append(parent)
+                    children.append(child)
+                    proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part)),
+                                       daemon=True)
                     proc.start()
                 except (EOFError, OSError) as exc:
                     raise BsfWorkerError(f"worker {w} did not start: {exc!r}") from exc

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsf import BsfExecutor, RunMetrics, SimTiming, metrics_to_csv
+from .bsf import BsfExecutor, SimTiming, metrics_from_csv, metrics_to_csv
 from .charts import line_chart
 from .cost_model import (DEFAULT_LATENCY_NS, ScenarioModel, calibrate,
                          curves_to_csv, delta_fraction, predict_curves)
@@ -248,7 +248,7 @@ def cmd_predict(args) -> int:
 
     if args.metrics:
         # the same model ``run`` wrote: calibrated at the smallest P, with its measured L
-        base = min(_read_metrics_csv(args.metrics), key=lambda m: m.p_workers)
+        base = min(metrics_from_csv(args.metrics), key=lambda m: m.p_workers)
         model = calibrate([(args.metrics_n or ns[0], base)], delta_mode=mode,
                           custom_delta=custom, latency_ns=args.latency_ns)
     else:
@@ -270,22 +270,6 @@ def cmd_predict(args) -> int:
     line_chart(out / "speedup.svg", "predicted speedup", "workers", "speedup", speed_series)
     line_chart(out / "efficiency.svg", "predicted efficiency", "workers", "efficiency", eff_series)
     return 0
-
-
-def _read_metrics_csv(path) -> list[RunMetrics]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != RunMetrics.CSV_HEADER:
-            raise ValueError(f"unexpected metrics header {header!r}")
-        for line in fh:
-            p, latency, ts, tv, tr, tp, tw = line.strip().split(",")
-            rows.append(RunMetrics(p_workers=int(p), latency_ns=float(latency),
-                                   t_s_ns=float(ts), t_v_ns=float(tv), t_r_ns=float(tr),
-                                   t_p_ns=float(tp), t_w_ns=float(tw)))
-    if not rows:
-        raise ValueError("metrics file has no rows")
-    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -85,8 +85,10 @@ class ScenarioModel:
             raise ValueError("dimension must be >= 2")
         if self.delta_mode not in DELTA_MODES:
             raise ValueError(f"delta_mode must be one of {DELTA_MODES}")
-        if self.delta_mode == "custom" and self.custom_delta is None:
-            raise ValueError("custom delta_mode requires custom_delta")
+        if (self.delta_mode == "custom") != (self.custom_delta is not None):
+            raise ValueError("custom_delta is given exactly when delta_mode is custom")
+        if self.custom_delta is not None and not 0.0 <= self.custom_delta <= 1.0:
+            raise ValueError("custom_delta must lie in [0, 1]")
         for name in ("c_s", "c_w", "c_r", "c_p"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")

@@ -89,10 +89,11 @@ class _ScreenPlan:
 
 
 def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
-            plan: _ScreenPlan | None = None) -> np.ndarray:
-    """Feasibility verdicts for the points ``center + steps[k] * e_chi`` of
-    the given cohorts, shape (cohorts, steps), from one product
-    ``r0 = A @ center - b`` and one pass over the cohort columns' nonzeros.
+            plan: _ScreenPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Feasibility verdicts and value candidates for the points ``center +
+    steps[k] * e_chi`` of the given cohorts, two arrays of shape (cohorts,
+    steps), from one product ``r0 = A @ center - b``, one pass over the
+    cohort columns' nonzeros and one ``c @ center``.
 
     A point on axis ``j`` has residual ``r0 + t * A[:, j]``, with ``t`` its
     move. Rows with ``A[i, j] == 0`` get an exact zero term for column ``j``
@@ -106,19 +107,32 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
     wider not-over interval. Finite ends move in (sure) or out (not-over) by
     ``8eps|end| + tiny``, more than their quotients round, so a point inside
     the first is surely _FEASIBLE and one outside the second is surely
-    _INFEASIBLE. Others are _UNSURE, as are all when ``r0`` or a coordinate
-    is not finite.
+    _INFEASIBLE. Others are _UNSURE.
+
+    A point's rank-1 value estimate ``est = c @ center + c_j t`` and its
+    exact ``objective_value`` each lie within ``(n+2)(eps/2) * bound``,
+    ``bound = |c|@|center| + |c_j t|``, of the true value, so the guard
+    ``gamma * bound + tiny`` is twice their distance and also covers
+    rounding in the comparisons. Each cohort's floor is the largest ``est -
+    guard`` among its _FEASIBLE points, which no exact best falls below; a
+    point whose ``est + guard`` is below the floor is strictly worse than
+    that best and can neither win nor tie. Candidates are the points that
+    are not _INFEASIBLE and not below the floor. A value that is not
+    finite, or a bound within a factor two of overflow, makes every point
+    that is not _INFEASIBLE a candidate. When ``r0`` or a coordinate is not
+    finite, every point is _UNSURE and a candidate.
 
     The nonzero index comes from ``plan`` fitted to this ``A``, or from one
     built for this call. Values are read from ``A`` on every call, so the
-    verdicts do not depend on the plan's age. The returned array is new."""
+    result does not depend on the plan's age. The returned arrays are new."""
     A, center = lp.A, cross.center
     cols = np.asarray(cohorts, dtype=np.intp)
     r0 = A @ center - lp.b
     c = center[cols, None]
     coords = c + steps        # the coordinate point_of writes, bit for bit
     if not (np.isfinite(r0).all() and np.isfinite(coords).all()):
-        return np.full(coords.shape, _UNSURE, dtype=np.int8)
+        return (np.full(coords.shape, _UNSURE, dtype=np.int8),
+                np.ones(coords.shape, dtype=bool))
     plan = (plan or _ScreenPlan()).fit(A, cols)
     t = coords - c
     # nonnegativity: the point copies the center everywhere but on its axis
@@ -151,40 +165,16 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
         e = ends[:, :, None] / div[:, None, :]
     ok &= (t <= e[1]) & (-t <= e[3])
     sure = (t < e[0]) & (-t < e[2])
-    return np.where(ok, np.where(sure, _FEASIBLE, _UNSURE), _INFEASIBLE).astype(np.int8)
-
-
-def _value_candidates(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
-                      verdicts: np.ndarray) -> np.ndarray:
-    """Which points of the (cohorts, steps) grid may hold their cohort's
-    best value, from one ``c @ center`` for all of them.
-
-    A point on axis ``j`` with move ``t`` has the rank-1 value estimate
-    ``est = c @ center + c_j * t``. It and the exact ``objective_value``
-    each lie within ``(n+2)(eps/2) * (|c|@|center| + |c_j t|)`` of the true
-    value, so the guard ``2(n+2)eps * (|c|@|center| + |c_j t|) + tiny`` is
-    twice their distance and also covers rounding in the comparisons.
-    Each cohort's floor is the largest ``est - guard`` among its _FEASIBLE
-    points, which no exact best falls below; a point whose ``est + guard``
-    is below the floor is strictly worse than that best and can neither
-    win nor tie. _INFEASIBLE points are never candidates. A value that is
-    not finite, or a bound within a factor two of overflow, makes every
-    other point a candidate.
-    """
-    center = cross.center
-    cols = np.asarray(cohorts, dtype=np.intp)
-    c = center[cols, None]
-    ct = lp.c[cols, None] * ((c + steps) - c)
+    verdicts = np.where(ok, np.where(sure, _FEASIBLE, _UNSURE), _INFEASIBLE).astype(np.int8)
+    ct = lp.c[cols, None] * t
     est = lp.c @ center + ct
     bound = np.abs(lp.c) @ np.abs(center) + np.abs(ct)
-    maybe = verdicts != _INFEASIBLE
-    f64 = np.finfo(np.float64)
     # below half the largest float, no partial sum of the exact product overflows
     if not (np.isfinite(est).all() and (bound < f64.max / 2.0).all()):
-        return maybe
-    guard = 2.0 * (lp.n + 2) * f64.eps * bound + f64.tiny
-    floor = np.where(verdicts == _FEASIBLE, est - guard, -np.inf).max(axis=1, keepdims=True)
-    return maybe & (est + guard >= floor)
+        return verdicts, ok
+    guard = gamma * bound + f64.tiny
+    floor = np.where(ok & sure, est - guard, -np.inf).max(axis=1, keepdims=True)
+    return verdicts, ok & (est + guard >= floor)
 
 
 def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
@@ -193,25 +183,17 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
     points, drop the infeasible ones, and keep the marker offset and value
     of the feasible point with the largest objective value.
 
-    Feasibility gives the same verdict as ``max_violation(lp, p) == 0.0``
-    on every point, without a full ``A @ p`` each. One ``A @ center - b``
-    and one ratio test over the cohort columns' nonzeros give each cohort
-    the moves that every row surely satisfies and a wider interval outside
-    which some row is surely over, past a rounding guard (see ``_screen``).
-    A point between the two falls back to the exact ``max_violation``. Rows
-    with a zero in the point's column decide on the center's residual;
-    that relies on BLAS summing a row in an order that does not depend on
-    the vector's values. Nonnegativity is checked exactly, on the
-    coordinate ``point_of`` writes.
+    ``_screen`` gives every point a feasibility verdict and a value
+    candidate flag. Only candidates are checked further: an _UNSURE one
+    falls back to the exact ``max_violation``, and each feasible one gets an
+    exact ``objective_value`` on the built point. So feasibility is the
+    verdict of ``max_violation(lp, p) == 0.0`` on every point; for rows
+    with a zero in the point's column that relies on BLAS summing a row in
+    an order that does not depend on the vector's values. Every point is
+    still built, once, though only the candidates need it.
 
     A worker passes the screen plan it keeps across orders (see
     ``_ScreenPlan``); without one, a plan is built for this call.
-
-    Values are screened the same way (see ``_value_candidates``): only the
-    points whose rank-1 value lies within a rounding guard of their
-    cohort's best get the exact ``max_violation`` fallback and an exact
-    ``objective_value`` on the built point. Every point is still built,
-    once, though only those candidates need it.
 
     Ties break deterministically: smallest |offset| first, negative before
     positive, so results are independent of how cohorts are partitioned
@@ -228,11 +210,10 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
     cohort_ms = [_cohort_markers(cross.points_per_cohort, chi) for chi in chis]
     offsets = [m.offset for m in cohort_ms[0]]
     steps = np.array(offsets) * cross.spacing
-    verdicts = _screen(lp, cross, chis, steps, plan)
-    candidates = _value_candidates(lp, cross, chis, steps, verdicts).tolist()
+    verdicts, candidates = (a.tolist() for a in _screen(lp, cross, chis, steps, plan))
     order = sorted(range(len(offsets)), key=lambda k: (abs(offsets[k]), offsets[k] > 0))
     out = []
-    for chi, ms, verdict, maybe in zip(chis, cohort_ms, verdicts.tolist(), candidates):
+    for chi, ms, verdict, maybe in zip(chis, cohort_ms, verdicts, candidates):
         best_offset, best_value = None, -math.inf
         for k in order:
             p = point_of(cross, ms[k])

@@ -1,4 +1,5 @@
 import builtins
+import errno
 import json
 import math
 import multiprocessing
@@ -21,7 +22,8 @@ from nslp import (BsfExecutor, BsfRecorder, BsfWorkerError, Cross, DriftSpec,
                   block_partition, evaluate, make_order, model_n,
                   model_n_optimum, order_from_bytes, order_to_bytes,
                   process_cohorts, replay_orders, run_targeting, snapshot)
-from nslp.bsf import WorkerResult, _driver_imports, _Pool
+from nslp.bsf import (RunMetrics, WorkerResult, _driver_imports, _Pool, _pool_context,
+                      metrics_from_csv, metrics_to_csv)
 from nslp.targeting import (TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
 
@@ -302,6 +304,20 @@ def test_sim_metrics_are_synthetic_and_deterministic():
     assert a.iter_ns == 2 * (10.0 + 123.0) + 14.0 + 123.0 + 2 * 3.0 + 5.0
 
 
+def test_metrics_csv_round_trips_its_seven_fields(tmp_path):
+    rows = [RunMetrics(1, 13901.25, 0.1, 1.0 / 3.0, 5e-324, 2.0 ** 53 + 2.0, 7.0,
+                       iter_ns=9.0, t_v_spread_ns=1.5, iterations=20),
+            RunMetrics(2, 0.0, 1e300, 12345.678, 0.0, 3.0, 2.0 / 3.0)]
+    metrics_to_csv(rows, tmp_path / "metrics.csv")
+    fields = ("p_workers", "latency_ns", "t_s_ns", "t_v_ns", "t_r_ns", "t_p_ns", "t_w_ns")
+    back = metrics_from_csv(tmp_path / "metrics.csv")
+    assert [[getattr(m, f) for f in fields] for m in back] == \
+        [[getattr(m, f) for f in fields] for m in rows]
+    (tmp_path / "empty.csv").write_text(RunMetrics.CSV_HEADER + "\n")
+    with pytest.raises(ValueError, match="no rows"):
+        metrics_from_csv(tmp_path / "empty.csv")
+
+
 def test_worker_failure_aborts_with_diagnostic():
     with pytest.raises(BsfWorkerError, match="synthetic worker fault"):
         BsfExecutor("worker-pool", 2, latency_rounds=10).run(FailingWorkload())
@@ -361,6 +377,26 @@ def test_failed_worker_start_stops_the_started_workers(monkeypatch, fault):
     monkeypatch.setattr(ForkServerProcess, "start", start)
     with pytest.raises(BsfWorkerError, match="worker 1 did not start.*synthetic fork server"):
         _Pool([[0], [1]], TrivialSetup())
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_pipe_stops_the_started_workers(monkeypatch):
+    # a process out of file descriptors fails the second worker's Pipe()
+    ctx = _pool_context()
+    real_pipe = ctx.Pipe
+    made = []
+
+    def pipe(duplex=True):
+        if made:
+            raise OSError(errno.EMFILE, "synthetic: too many open files")
+        made.append(1)
+        return real_pipe(duplex)
+
+    monkeypatch.setattr(ctx, "Pipe", pipe)
+    problem = NonStationaryLP(base=model_n(4))
+    cfg = TargetingConfig(points_per_cohort=2, spacing=0.5)
+    with pytest.raises(BsfWorkerError, match="worker 1 did not start.*too many open files"):
+        run_targeting(problem, np.zeros(4), cfg, 1, BsfExecutor("worker-pool", 2))
     assert multiprocessing.active_children() == []
 
 

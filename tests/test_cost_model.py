@@ -219,6 +219,14 @@ def test_scenario_model_validation():
         ScenarioModel(n=10, c_s=0.0)
 
 
+@pytest.mark.parametrize("mode, custom", [
+    ("custom", 2.0), ("custom", -5.0), ("custom", float("nan")), ("custom", float("inf")),
+    ("full", 0.5), ("one-row", 0.0)])
+def test_scenario_model_rejects_a_bad_custom_delta(mode, custom):
+    with pytest.raises(ValueError, match="custom_delta"):
+        ScenarioModel(n=10, delta_mode=mode, custom_delta=custom)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("c_s", float("nan")), ("c_w", float("nan")), ("c_r", float("inf")), ("c_p", float("nan")),
     ("latency_ns", float("nan")), ("latency_ns", float("inf")), ("latency_ns", -1.0)])

@@ -308,11 +308,11 @@ def test_screen_results_are_not_views_of_the_plan():
     steps = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
     plan = tg._ScreenPlan()
     crosses = [Cross(np.ones(6), 1.0, 8), Cross(np.full(6, 3.0), 1.0, 8)]
-    first = tg._screen(lp, crosses[0], range(6), steps, plan)
+    first = tg._screen(lp, crosses[0], range(6), steps, plan)[0]
     kept = first.copy()
     bests = process_cohorts(lp, crosses[0], range(6), plan)
     kept_bests = list(bests)
-    assert not np.array_equal(tg._screen(lp, crosses[1], range(6), steps, plan), kept)
+    assert not np.array_equal(tg._screen(lp, crosses[1], range(6), steps, plan)[0], kept)
     assert process_cohorts(lp, crosses[1], range(6), plan) != kept_bests
     assert np.array_equal(first, kept)
     assert bests == kept_bests == _process_cohorts_exact(lp, crosses[0], range(6))
@@ -400,8 +400,67 @@ def test_screen_ends_carry_the_rounding_widening(a, x0, b):
                                    over, np.nextafter(over, np.inf)])
     assert np.array_equal((x0 + steps) - x0, steps)  # every move is exact
     tg = nslp.targeting
-    verdicts = tg._screen(lp, Cross(center, 1.0, 2), [0], steps)
+    verdicts = tg._screen(lp, Cross(center, 1.0, 2), [0], steps)[0]
     assert verdicts.tolist() == [[tg._FEASIBLE, tg._UNSURE, tg._UNSURE, tg._INFEASIBLE]]
+
+
+def _value_guard_case(x0, c1=0.0):
+    """Cohort 0 of ``x_0 <= 4 x0`` around the center (x0, 0), with c = (1,
+    c1) and every point surely feasible. Returns the LP, the cross and the
+    steps of three points: one whose ``est + guard`` is one ulp below the
+    cohort's floor, one whose ``est + guard`` is exactly on it, and the best
+    point (2 x0, 0), which sets the floor ``est - guard``. The guard is
+    formed here as the screen forms it."""
+    lp = DenseLP(np.eye(2), np.array([4.0 * x0, 2.0]), np.array([1.0, c1]))
+    center = np.array([x0, 0.0])
+    f64 = np.finfo(np.float64)
+    gamma = 2.0 * (lp.n + 2) * f64.eps
+
+    def est_guard(p):  # of the cohort-0 point (p, 0)
+        ct = lp.c[0] * (p - x0)
+        return lp.c @ center + ct, gamma * (np.abs(lp.c) @ np.abs(center) + abs(ct)) + f64.tiny
+
+    def top(p):
+        est, guard = est_guard(p)
+        return est + guard
+
+    est, guard = est_guard(2.0 * x0)
+    floor = est - guard
+    p = floor - guard  # near where est + guard meets the floor; walk onto it
+    while top(p) > floor:
+        p = np.nextafter(p, -np.inf)
+    while top(np.nextafter(p, np.inf)) <= floor:
+        p = np.nextafter(p, np.inf)
+    below = np.nextafter(p, -np.inf)
+    assert top(p) == floor and top(below) == np.nextafter(floor, -np.inf)
+    steps = np.array([below, p, 2.0 * x0]) - x0
+    assert np.array_equal((x0 + steps) - x0, steps)  # every move is exact
+    return lp, Cross(center, 1.0, 2), steps
+
+
+@pytest.mark.parametrize("x0", [1.0, 1e-300])  # guard mostly gamma * bound, or mostly tiny
+def test_value_guard_keeps_a_point_on_its_cohorts_floor(x0):
+    # white box: a point whose est + guard equals the floor may still tie the
+    # best and stays a candidate; one ulp below, it is dropped
+    lp, cross, steps = _value_guard_case(x0)
+    tg = nslp.targeting
+    verdicts, candidates = tg._screen(lp, cross, [0], steps)
+    assert verdicts.tolist() == [[tg._FEASIBLE] * 3]
+    assert candidates.tolist() == [[False, True, True]]
+
+
+def test_value_screen_keeps_every_point_within_a_factor_two_of_overflow():
+    # cohort 1's bound |c|@|center| + |c_1 t| lies in [max/2, max): the
+    # guard is not trusted there, so no point of any cohort is dropped
+    lp, cross, steps = _value_guard_case(1.0, c1=1.2e308)
+    f64 = np.finfo(np.float64)
+    bound = np.abs(lp.c) @ np.abs(cross.center) + np.abs(lp.c[1] * steps)
+    assert ((f64.max / 2.0 <= bound) & (bound < f64.max)).all()
+    tg = nslp.targeting
+    assert tg._screen(lp, cross, [0], steps)[1].tolist() == [[False, True, True]]
+    verdicts, candidates = tg._screen(lp, cross, [0, 1], steps)
+    assert verdicts.tolist() == [[tg._FEASIBLE] * 3] * 2
+    assert candidates.all()
 
 
 @pytest.mark.parametrize("b0", [2e17, 1e17, 5e16])
@@ -688,3 +747,26 @@ def test_recovery_starts_from_the_held_snapshot(monkeypatch):
     assert trace.requests == reference.requests
     assert snapshots == [problem.clock]  # the workload's initial snapshot only
     assert trace.csv_text() == reference.csv_text()
+
+
+def test_the_bench_bindings_are_called_through_their_modules(monkeypatch):
+    # bench/harness.py times each layer by rebinding these module attributes;
+    # a call that went around one would read 0 in its metric unnoticed
+    bindings = [(nslp.targeting, name) for name in (
+        "point_of", "max_violation", "process_cohorts", "apply_delta", "advance",
+        "pseudo_project")] + [(nslp.bsf, name) for name in (
+            "delta_between", "order_to_bytes", "order_from_bytes")]
+    calls = {}
+    for module, name in bindings:
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+
+        def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    problem, start, cfg = _recovering_run()
+    trace = run_targeting(problem, start, cfg, 30, BsfExecutor("sequential-sim", 2))
+    assert trace.requests >= 1
+    assert all(calls.values()), calls
