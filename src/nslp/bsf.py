@@ -7,7 +7,8 @@ frame reaches the workers and their results come back, and must produce
 identical outputs: ``sequential-sim`` runs everything in-process with a
 deterministic synthetic clock, ``worker-pool`` runs workers in processes
 forked from a fork server that has numpy, nslp and the driver's
-standard-library and nslp imports preloaded (so it needs a POSIX start
+standard-library and nslp imports preloaded, and the top level of a driver
+script that imports nothing else already run (so it needs a POSIX start
 method), connected by pipes, and reports measured timings.
 ``BsfExecutor(backend, p_workers).run(workload)`` is the farm's only entry
 point.
@@ -32,6 +33,7 @@ order stream bit-reproduces the results.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
 import os
@@ -337,37 +339,72 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
             pass
 
 
-def _driver_imports(namespace: dict) -> list[str]:
-    """The standard-library and nslp modules bound in a driver's top-level
-    ``namespace``, sorted: each module by its name, each imported function
-    or class by its ``__module__``. Other modules are left out: they may
-    start threads or fail with more than the ``ImportError`` a fork server
-    forgives, which would fork workers from a threaded server or kill it."""
+def _driver_modules(namespace: dict) -> set[str]:
+    """The modules bound in a driver's top-level ``namespace``: each module
+    by its name, each function or class by its ``__module__`` (``__main__``
+    for the driver's own)."""
     names = set()
     for value in namespace.values():
         if isinstance(value, types.ModuleType):
             names.add(value.__name__)
         elif isinstance(value, (type, types.FunctionType, types.BuiltinFunctionType)):
             names.add(value.__module__)
-    keep = sys.stdlib_module_names | {"nslp"}
-    return sorted(name for name in names if isinstance(name, str)
-                  and name.partition(".")[0] in keep and name != "builtins")
+    return {name for name in names if isinstance(name, str)}
+
+
+_SAFE_IMPORTS = sys.stdlib_module_names | {"nslp"}
+
+
+def _driver_imports(namespace: dict) -> list[str]:
+    """The standard-library and nslp modules bound in a driver's top-level
+    ``namespace``, sorted: each module by its name, each imported function
+    or class by its ``__module__``. Other modules are left out: they may
+    start threads or fail with more than the ``ImportError`` a fork server
+    forgives, which would fork workers from a threaded server or kill it.
+    For the same reason the server runs the driver's top level only when
+    nothing else is bound there (``_server_may_run_main``)."""
+    return sorted(name for name in _driver_modules(namespace)
+                  if name.partition(".")[0] in _SAFE_IMPORTS and name != "builtins")
+
+
+def _server_may_run_main(namespace: dict) -> bool:
+    """Whether the fork server may run the driver's top level: when every
+    module it binds (as ``_driver_modules`` finds them) is standard-library,
+    numpy, nslp or the driver itself, so that running it starts no thread
+    a third-party or sibling module might start at import."""
+    known = _SAFE_IMPORTS | {"numpy", "__main__"}
+    return all(name.partition(".")[0] in known for name in _driver_modules(namespace))
+
+
+# the master's hand-off to ``nslp._server_main``: set only while the first
+# pool starts the fork server, and popped by the server as it reads it
+_SERVER_MAIN_VAR = "_NSLP_FORKSERVER_MAIN"
 
 
 @functools.cache
 def _pool_context():
     """The start method of every pool in this process: one fork server,
-    started at the first pool, that forks each worker with numpy, nslp and
-    the driver's standard-library and nslp imports already loaded. Each
-    worker still runs the driver as ``__mp_main__`` as it starts (so a
-    driver needs a ``__main__`` guard), but finds those imports done. The
-    server is stopped and reaped when this process exits. Each pool
-    measures ``L`` once per start, before the first order: the median of
-    ``BsfExecutor.latency_rounds`` (64 by default) one-byte round trips to
-    worker 0, halved."""
+    started at the first pool (which pays the server's start, about 0.3 s
+    for a fresh interpreter importing numpy and nslp), that forks each
+    worker with numpy, nslp and the driver's standard-library and nslp
+    imports already loaded. When the driver is a script (not ``python -m``)
+    whose top level binds only standard-library, numpy and nslp modules,
+    the server also runs that top level once, as ``__mp_main__`` with the
+    master's ``sys.argv`` and ``sys.path``, and the workers it forks find it
+    done. Any other driver, or one whose top level raises in the server (a
+    driver without a ``__main__`` guard starts a pool there, which
+    multiprocessing refuses), is run again by each worker as it starts.
+    Either way the top level runs outside the master, so a driver needs a
+    ``__main__`` guard. The server is stopped and reaped when this process
+    exits. Each pool measures ``L`` once per start, before the first order:
+    the median of ``BsfExecutor.latency_rounds`` (64 by default) one-byte
+    round trips to worker 0, halved."""
     import multiprocessing as mp
-    from multiprocessing import forkserver, util
+    from multiprocessing import forkserver, spawn, util
 
+    # first: in a process still bootstrapping (a worker or the server running
+    # an unguarded driver) this raises before any process starts
+    data = spawn.get_preparation_data("forkserver")
     # workers inherit the server's environment, not the master's: keep their
     # math on one BLAS thread (deterministic reductions, no oversubscription
     # underneath the process-level parallelism) before the server starts
@@ -380,10 +417,21 @@ def _pool_context():
         os.environ["PYTHONPATH"] = os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")]))
     ctx = mp.get_context("forkserver")
-    driver = _driver_imports(vars(sys.modules["__main__"]))
-    ctx.set_forkserver_preload(list(dict.fromkeys(["numpy", "nslp", *driver])))
+    namespace = vars(sys.modules["__main__"])
+    main_path = data.get("init_main_from_path")
+    if main_path is not None and _server_may_run_main(namespace):
+        os.environ[_SERVER_MAIN_VAR] = json.dumps(
+            [main_path, data["sys_argv"], data["sys_path"]], default=os.fspath)
+    else:
+        os.environ.pop(_SERVER_MAIN_VAR, None)
+    ctx.set_forkserver_preload(list(dict.fromkeys(
+        ["numpy", "nslp", *_driver_imports(namespace), "nslp._server_main"])))
     # priority < 0 runs after multiprocessing has joined the live children
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
+    try:
+        forkserver.ensure_running()
+    finally:
+        os.environ.pop(_SERVER_MAIN_VAR, None)
     return ctx
 
 
@@ -393,7 +441,10 @@ class _Pool:
     ``BsfWorkerError``."""
 
     def __init__(self, partition, setup):
-        ctx = _pool_context()
+        try:
+            ctx = _pool_context()
+        except OSError as exc:
+            raise BsfWorkerError(f"fork server did not start: {exc!r}") from exc
         self.conns = []
         self.procs = []
         children = []

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import types
 from multiprocessing.context import ForkServerProcess
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from nslp import (BsfExecutor, BsfRecorder, BsfWorkerError, Cross, DriftSpec,
                   model_n_optimum, order_from_bytes, order_to_bytes,
                   process_cohorts, replay_orders, run_targeting, snapshot)
 from nslp.bsf import (RunMetrics, WorkerResult, _driver_imports, _Pool, _pool_context,
-                      metrics_from_csv, metrics_to_csv)
+                      _server_may_run_main, metrics_from_csv, metrics_to_csv)
 from nslp.targeting import (TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
 
@@ -380,6 +381,20 @@ def test_failed_worker_start_stops_the_started_workers(monkeypatch, fault):
     assert multiprocessing.active_children() == []
 
 
+def test_failed_fork_server_start_raises_worker_error(monkeypatch):
+    # the first pool in a process starts the server before any worker
+    from multiprocessing import forkserver
+
+    def ensure_running():
+        raise OSError(errno.EMFILE, "synthetic: too many open files")
+
+    monkeypatch.setattr(forkserver, "ensure_running", ensure_running)
+    _pool_context.cache_clear()
+    with pytest.raises(BsfWorkerError, match="fork server did not start.*too many open files"):
+        _Pool([[0]], TrivialSetup())
+    assert multiprocessing.active_children() == []
+
+
 def test_failed_pipe_stops_the_started_workers(monkeypatch):
     # a process out of file descriptors fails the second worker's Pipe()
     ctx = _pool_context()
@@ -415,13 +430,18 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 @pytest.fixture(scope="module")
 def two_pool_runs(tmp_path_factory):
     """A driver, started without the BLAS variables, makes two pool runs.
-    Per run: the driver's pid and each worker's (parent pid,
-    OPENBLAS_NUM_THREADS)."""
-    script = tmp_path_factory.mktemp("probe") / "driver.py"
+    Per run: the driver's pid, each worker's (parent pid,
+    OPENBLAS_NUM_THREADS) and the pids of the processes that have run the
+    driver's top level so far."""
+    probe = tmp_path_factory.mktemp("probe")
+    script = probe / "driver.py"
     script.write_text(textwrap.dedent("""\
-        import json, os
+        import json, os, sys
         import numpy as np
         from nslp import BsfExecutor, Order, SparseDelta
+
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
 
         class ProbeSetup:
             def init_state(self, worker_id, cohorts):
@@ -455,9 +475,13 @@ def two_pool_runs(tmp_path_factory):
             for _ in range(2):
                 pool = BsfExecutor("worker-pool", 2, latency_rounds=1)
                 seen, _ = pool.run(ProbeWorkload())
-                print(json.dumps({"master": os.getpid(), "workers": seen}), flush=True)
+                with open(sys.argv[1]) as fh:
+                    top_level = [int(pid) for pid in fh]
+                print(json.dumps({"master": os.getpid(), "workers": seen,
+                                  "top_level": top_level}), flush=True)
         """))
-    done = _run_driver(script, env={k: v for k, v in os.environ.items() if k not in _BLAS_VARS})
+    done = _run_driver(script, probe / "top_level.pids",
+                       env={k: v for k, v in os.environ.items() if k not in _BLAS_VARS})
     assert done.returncode == 0, done.stderr
     return [json.loads(line) for line in done.stdout.splitlines()]
 
@@ -471,6 +495,13 @@ def test_one_fork_server_per_process_is_gone_at_exit(two_pool_runs):
     # stopped and reaped by the driver itself, not left as a zombie
     with pytest.raises(ProcessLookupError):
         os.kill(server, 0)
+
+
+def test_fork_server_runs_the_driver_top_level_for_every_worker(two_pool_runs):
+    # the master and the server run it; the four workers forked from the
+    # server find it done, and ProbeSetup, defined there, still unpickles
+    (server,) = {ppid for run in two_pool_runs for ppid, _ in run["workers"]}
+    assert sorted(two_pool_runs[-1]["top_level"]) == sorted([two_pool_runs[0]["master"], server])
 
 
 def test_pool_workers_run_one_blas_thread(two_pool_runs):
@@ -511,7 +542,105 @@ def test_cli_module_drives_the_pool(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["1", "2"]
 
 
-def test_fork_server_preloads_only_the_drivers_stdlib_and_nslp_imports():
+_ECHO_DRIVER = """\
+import json, os, sys
+import numpy as np
+from nslp import BsfExecutor, Order, SparseDelta
+{imports}
+with open(sys.argv[1], "a") as fh:
+    fh.write(f"{{os.getpid()}}\\n")
+ARGV, FILE, PATH = sys.argv[1:], __file__, list(sys.path)
+
+
+def view():
+    return {{"pid": os.getpid(), "argv": ARGV, "file": FILE, "path": PATH,
+             "handoff": "_NSLP_FORKSERVER_MAIN" in os.environ}}
+
+
+class EchoSetup:
+    def init_state(self, worker_id, cohorts):
+        return None
+
+    def process_order(self, state, order):
+        return None, [view()]
+
+
+class EchoWorkload:
+    cohort_count = 2
+
+    def init(self, p_workers, partition):
+        return EchoSetup()
+
+    def make_order(self):
+        return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
+
+    def merge_results(self, results):
+        return [r.bests[0] for r in results]
+
+    def evaluate(self, merged):
+        self.seen = merged
+
+    def exit_check(self):
+        return True
+
+    def finalize(self):
+        return self.seen
+
+
+if __name__ == "__main__":
+    seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(EchoWorkload())
+    print(json.dumps({{"master": view(), "workers": seen}}))
+"""
+
+
+def _run_echo_driver(tmp_path, *args, imports="", env=os.environ):
+    """Run a driver whose top level appends its pid to a file and keeps its
+    ``sys.argv[1:]``, ``__file__`` and ``sys.path``; one 2-worker pool
+    reports each worker's view of them, its pid and whether the hand-off
+    variable is in its environment, beside the master's. Returns that report
+    and the pids that ran the top level."""
+    script = tmp_path / "driver.py"
+    script.write_text(_ECHO_DRIVER.format(imports=imports))
+    pids = tmp_path / "top_level.pids"
+    done = _run_driver(script, pids, *args, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout), [int(pid) for pid in pids.read_text().split()]
+
+
+def test_server_run_of_the_driver_sees_what_a_worker_run_saw(tmp_path):
+    run, _ = _run_echo_driver(tmp_path, "--flag", "two words", "")
+    master = run["master"]
+    assert master["argv"] == [str(tmp_path / "top_level.pids"), "--flag", "two words", ""]
+    assert master["file"] == str(tmp_path / "driver.py")
+    assert master["path"][0] == str(tmp_path)
+    for worker in run["workers"]:
+        assert {**worker, "pid": master["pid"]} == master
+
+
+def test_driver_with_a_sibling_import_is_run_by_each_worker(tmp_path):
+    (tmp_path / "helper.py").write_text("TAG = 'sibling'\n")
+    run, top_level = _run_echo_driver(tmp_path, imports="import helper")
+    # the server leaves a driver alone once a module it cannot vouch for is bound
+    assert sorted(top_level) == sorted(view["pid"] for view in [run["master"], *run["workers"]])
+
+
+@pytest.mark.parametrize("imports, runs", [("", 2), ("import helper", 3)])
+def test_fork_server_hand_off_is_not_read_from_the_users_environment(tmp_path, imports, runs):
+    (tmp_path / "helper.py").write_text("TAG = 'sibling'\n")
+    decoy = tmp_path / "decoy"
+    decoy.mkdir()
+    (decoy / "driver.py").write_text("open(__file__ + '.ran', 'w').close()\n")
+    preset = json.dumps([str(decoy / "driver.py"), ["decoy"], sys.path])
+    run, top_level = _run_echo_driver(tmp_path, imports=imports,
+                                      env={**os.environ, "_NSLP_FORKSERVER_MAIN": preset})
+    # the real script ran, in the master and the server or each worker
+    assert len(top_level) == runs and run["master"]["pid"] in top_level
+    assert not (decoy / "driver.py.ran").exists()
+    # gone from the master after its first pool, and never in a worker
+    assert [view["handoff"] for view in [run["master"], *run["workers"]]] == [False] * 3
+
+
+def _driver_namespace():
     namespace = {"__name__": "__main__", "__builtins__": builtins}
     exec(textwrap.dedent("""\
         import json, os
@@ -528,8 +657,23 @@ def test_fork_server_preloads_only_the_drivers_stdlib_and_nslp_imports():
         class Probe:
             pass
         """), namespace)
+    return namespace
+
+
+def test_fork_server_preloads_only_the_drivers_stdlib_and_nslp_imports():
+    namespace = _driver_namespace()
     assert _driver_imports(namespace) == [
         "json", "nslp.cli", "os", "pathlib", "posixpath", "time"]
+
+
+@pytest.mark.parametrize("foreign", [types.ModuleType("helper"), pytest.raises,
+                                     pytest.MonkeyPatch],
+                         ids=["sibling-module", "third-party-function", "third-party-class"])
+def test_fork_server_runs_the_driver_only_over_known_imports(foreign):
+    namespace = _driver_namespace()
+    assert _server_may_run_main(namespace)
+    namespace["foreign"] = foreign
+    assert not _server_may_run_main(namespace)
 
 
 def test_worker_count_validation(unit_square):
