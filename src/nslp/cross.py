@@ -55,18 +55,16 @@ def _offsets(k: int) -> list[int]:
     return [e for e in range(-half, half + 1) if e != 0]
 
 
-def _check_marker(cross: Cross, m: Marker) -> None:
-    if not 0 <= m.cohort < cross.dimension:
-        raise ValueError(f"cohort {m.cohort} out of range for dimension {cross.dimension}")
-    if m.offset == 0 or abs(m.offset) > cross.points_per_cohort // 2:
-        raise ValueError(f"offset {m.offset} out of range for K={cross.points_per_cohort}")
-
-
 def point_of(cross: Cross, m: Marker) -> np.ndarray:
     """Coordinates of the marked point: center + offset * spacing * e_cohort."""
-    _check_marker(cross, m)
+    chi, eta = m.cohort, m.offset
+    n, k = len(cross.center), cross.points_per_cohort
+    if not 0 <= chi < n:
+        raise ValueError(f"cohort {chi} out of range for dimension {n}")
+    if eta == 0 or abs(eta) > k // 2:
+        raise ValueError(f"offset {eta} out of range for K={k}")
     p = cross.center.copy()
-    p[m.cohort] += m.offset * cross.spacing
+    p[chi] += eta * cross.spacing
     return p
 
 
@@ -82,7 +80,6 @@ def marker_of(cross: Cross, point: np.ndarray) -> Marker:
     chi = int(where[0])
     eta = int(round((point[chi] - cross.center[chi]) / cross.spacing))
     m = Marker(chi, eta)
-    _check_marker(cross, m)
     if not np.array_equal(point_of(cross, m), point):
         raise ValueError("point does not lie exactly on the cross")
     return m

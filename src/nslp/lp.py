@@ -325,9 +325,9 @@ def apply_delta(lp: DenseLP, d: SparseDelta) -> DenseLP:
 
 def objective_value(lp: DenseLP, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lp.n,):
+    if x.shape != lp.c.shape:
         raise ValueError(f"point has length {x.shape}, expected {lp.n}")
-    return float(np.dot(lp.c, x))
+    return float(lp.c.dot(x))
 
 
 def max_violation(lp: DenseLP, x: np.ndarray) -> float:
@@ -340,7 +340,12 @@ def max_violation(lp: DenseLP, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (lp.n,):
         raise ValueError(f"point has length {x.shape}, expected {lp.n}")
-    row, bound = float(np.max(lp.A @ x - lp.b)), float(np.max(-x))
+    return _violation(x, lp.A @ x - lp.b)
+
+
+def _violation(x: np.ndarray, residuals: np.ndarray) -> float:
+    """``max_violation`` of x given its row residuals ``A @ x - b``."""
+    row, bound = float(np.max(residuals)), float(np.max(-x))
     if math.isnan(row + bound):
         return math.inf
     return max(0.0, row, bound)

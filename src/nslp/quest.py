@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import DenseLP, NonStationaryLP, advance, max_violation, snapshot
+from .lp import DenseLP, NonStationaryLP, _violation, advance, max_violation, snapshot
 
 
 class MalformedProblemError(ValueError):
@@ -52,7 +52,12 @@ def fejer_step(lp: DenseLP, x: np.ndarray, relaxation: float = 1.0) -> np.ndarra
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (lp.n,):
         raise ValueError(f"point has length {x.shape}, expected {lp.n}")
-    residuals = lp.A @ x - lp.b
+    return _fejer_move(lp, x, lp.A @ x - lp.b, relaxation)
+
+
+def _fejer_move(lp: DenseLP, x: np.ndarray, residuals: np.ndarray,
+                relaxation: float) -> np.ndarray:
+    """``fejer_step`` of x given its row residuals ``A @ x - b``."""
     viol_rows = residuals > 0.0
     viol_bounds = x < 0.0
     count = int(viol_rows.sum()) + int(viol_bounds.sum())
@@ -104,8 +109,9 @@ def pseudo_project(
             k += 1
         if not np.isfinite(x).all():
             return QuestResult(x, it, math.inf)
-        residual = max_violation(lp, x)
+        residuals = lp.A @ x - lp.b  # shared by the check and the step
+        residual = _violation(x, residuals)
         if residual <= cfg.tolerance:
             return QuestResult(x, it, residual)
-        x = fejer_step(lp, x, cfg.relaxation)
+        x = _fejer_move(lp, x, residuals, cfg.relaxation)
     return QuestResult(x, cfg.max_iterations, max_violation(lp, x))

@@ -190,7 +190,7 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
     verdict of ``max_violation(lp, p) == 0.0`` on every point; for rows
     with a zero in the point's column that relies on BLAS summing a row in
     an order that does not depend on the vector's values. Every point is
-    still built, once, though only the candidates need it.
+    still built by ``point_of``, once, though only the candidates need it.
 
     A worker passes the screen plan it keeps across orders (see
     ``_ScreenPlan``); without one, a plan is built for this call.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,3 +138,34 @@ def test_cohort_markers_are_equal_fresh_lists():
     again = cohort_markers(c, 1)
     assert again == [Marker(1, -2), Marker(1, -1), Marker(1, 1), Marker(1, 2)]
     assert again is not cohort_markers(c, 1)
+
+
+@pytest.mark.parametrize("marker, message", [
+    (Marker(-1, 1), "cohort -1 out of range for dimension 3"),
+    (Marker(3, 1), "cohort 3 out of range for dimension 3"),
+    (Marker(np.int64(3), 1), "cohort 3 out of range for dimension 3"),
+    (Marker(0, 0), "offset 0 out of range for K=4"),
+    (Marker(1, 3), "offset 3 out of range for K=4"),
+    (Marker(1, -3), "offset -3 out of range for K=4"),
+])
+def test_point_of_range_messages(marker, message):
+    c = Cross(center=np.array([0.5, -1.0, 2.0]), spacing=0.25, points_per_cohort=4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        point_of(c, marker)
+
+
+def test_point_of_accepts_a_numpy_integer_cohort():
+    c = Cross(center=np.array([0.5, -1.0, 2.0]), spacing=0.25, points_per_cohort=4)
+    for chi in (np.int64(2), np.intp(0)):
+        got = point_of(c, Marker(chi, -2))
+        assert got.tobytes() == point_of(c, Marker(int(chi), -2)).tobytes()
+
+
+def test_marker_of_range_messages():
+    c = Cross(center=np.array([0.5, -1.0, 2.0]), spacing=0.25, points_per_cohort=4)
+    beyond = c.center.copy()
+    beyond[1] += 3 * c.spacing  # one step past the last cohort point
+    with pytest.raises(ValueError, match=r"^offset 3 out of range for K=4$"):
+        marker_of(c, beyond)
+    with pytest.raises(ValueError, match=r"^point is the center or not a cross point$"):
+        marker_of(c, c.center)

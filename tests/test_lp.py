@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,3 +348,34 @@ def test_problem_file_truncated(tmp_path):
     path.write_text("3 2\n1 2 3\n")
     with pytest.raises(ValueError):
         read_problem(path)
+
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def test_objective_value_is_bitwise_the_dot_product():
+    rng = np.random.default_rng(23)
+    cases = []
+    for n in (2, 3, 17, 200, 401):
+        c = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        x = rng.normal(size=2 * n) * 10.0 ** rng.integers(-8, 8, 2 * n)
+        cases += [(c, x[:n]), (c, x[::2]), (c, x[:n].tolist())]
+    big = np.array([1e300, 1e300, 1e300])
+    cases += [(big, np.array([1e300, 1.0, 1.0])),             # +inf
+              (big, np.array([-1e300, 1.0, 1.0])),            # -inf
+              (big, np.array([1e300, -1e300, 1.0])),          # inf - inf = nan
+              (np.array([0.0, 1.0]), np.array([np.inf, 1.0]))]  # 0 * inf = nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, x in cases:
+            lp = DenseLP(np.ones((1, len(c))), np.ones(1), c)
+            assert _bits(objective_value(lp, x)) == _bits(float(np.dot(lp.c, x)))
+        assert objective_value(DenseLP(np.ones((1, 3)), np.ones(1), big),
+                               np.array([1e300, 1.0, 1.0])) == np.inf
+
+
+@pytest.mark.parametrize("x, shape", [(np.zeros(3), "(3,)"), (np.zeros((2, 1)), "(2, 1)"),
+                                      ([1.0], "(1,)")])
+def test_objective_value_rejects_a_wrong_length_point(unit_square, x, shape):
+    with pytest.raises(ValueError, match=rf"^point has length {re.escape(shape)}, expected 2$"):
+        objective_value(unit_square, x)

@@ -185,3 +185,45 @@ def test_fejer_config_rejects_nan_tolerance():
     # residual <= nan is never true: the projection would run its whole budget
     with pytest.raises(ValueError, match="tolerance"):
         FejerConfig(tolerance=math.nan)
+
+
+def _reference_project(problem, start, cfg, clock):
+    """``pseudo_project`` spelled out with the public ``max_violation`` and
+    ``fejer_step``, each computing its own residuals."""
+    from nslp.lp import advance
+    x, k = np.array(start, dtype=np.float64), clock
+    lp = snapshot(problem, k)
+    for it in range(cfg.max_iterations):
+        if it > 0 and it % cfg.refresh_every == 0:
+            lp = advance(problem, lp, k)
+            k += 1
+        if not np.isfinite(x).all():
+            return x, it, math.inf
+        residual = max_violation(lp, x)
+        if residual <= cfg.tolerance:
+            return x, it, residual
+        x = fejer_step(lp, x, cfg.relaxation)
+    return x, cfg.max_iterations, max_violation(lp, x)
+
+
+@pytest.mark.parametrize("case", ["drifting", "budget", "feasible", "non-finite"])
+def test_pseudo_project_matches_the_public_step_loop(case):
+    rng = np.random.default_rng(17)
+    problem = NonStationaryLP(base=model_n(12), drift=DriftSpec(
+        kind="random-sparse", delta=1.0, magnitude=1e-3, seed=17))
+    cfg = FejerConfig(relaxation=1.5, tolerance=1e-8, refresh_every=2)
+    start = rng.uniform(-50.0, 400.0, 12)
+    if case == "budget":
+        cfg = FejerConfig(relaxation=0.7, max_iterations=9, refresh_every=4)
+    elif case == "feasible":  # inside the box, far from every drifting face
+        start = np.full(12, 50.0)
+    elif case == "non-finite":
+        start[3] = math.nan
+    z, iterations, residual = _reference_project(problem, start, cfg, 3)
+    res = pseudo_project(problem, start, cfg, clock=3)
+    assert res.z.tobytes() == z.tobytes()
+    assert (res.iterations, res.residual) == (iterations, residual)
+    assert {"drifting": res.iterations > 4 * cfg.refresh_every and res.residual <= 1e-8,
+            "budget": res.iterations == 9 and res.residual > 0.0,
+            "feasible": res.iterations == 0 and res.residual == 0.0,
+            "non-finite": res.iterations == 0 and res.residual == math.inf}[case]
