@@ -2,9 +2,8 @@
 bulk-synchronous farm, with the analytic cost model used to predict and
 validate its scalability."""
 
-from .bsf import (BsfExecutor, BsfRecorder, BsfWorkerError, Order, RunMetrics,
-                  SimTiming, WorkerResult, block_partition, make_order,
-                  order_from_bytes, order_to_bytes, replay_orders)
+from .bsf import (BsfExecutor, BsfWorkerError, Order, RunMetrics, WorkerResult,
+                  block_partition, make_order, order_from_bytes, order_to_bytes)
 from .cost_model import (CostParams, ScenarioModel, calibrate, efficiency,
                          predict_curves, scalability_bound, scenario_params, speedup)
 from .cross import Cross, Marker, cohort_markers, marker_of, markers, point_of, recenter

@@ -5,9 +5,9 @@ a full barrier.
 One master loop drives both backends, which differ only in how an order
 frame reaches the workers and their results come back, and must produce
 identical outputs: ``sequential-sim`` runs everything in-process with a
-deterministic synthetic clock, ``worker-pool`` runs workers in processes
-forked from a fork server that has numpy, nslp and the driver's
-standard-library and nslp imports preloaded, and the top level of a driver
+deterministic synthetic clock (the latency ``sim_latency_ns`` plus fixed
+charges), ``worker-pool`` runs workers in processes forked from a fork
+server that has numpy and nslp preloaded, and the top level of a driver
 script that imports nothing else already run (so it needs a POSIX start
 method), connected by pipes, and reports measured timings.
 ``BsfExecutor(backend, p_workers).run(workload)`` is the farm's only entry
@@ -44,7 +44,7 @@ import sys
 import time
 import traceback
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,30 +144,6 @@ def metrics_from_csv(path) -> list[RunMetrics]:
     return rows
 
 
-@dataclass(frozen=True)
-class SimTiming:
-    """Synthetic per-unit costs charged by the sequential simulator."""
-
-    latency_ns: float = 10_000.0
-    send_ns: float = 2_000.0
-    work_ns_per_cohort: float = 100_000.0
-    recv_ns: float = 2_000.0
-    evaluate_ns: float = 10_000.0
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-
-
-@dataclass
-class BsfRecorder:
-    """Captures the order stream and per-iteration results for replay."""
-
-    orders: list = field(default_factory=list)
-    results: list = field(default_factory=list)
-
-
 # --- wire format ------------------------------------------------------------
 # Orders: little-endian, length-prefixed sections, one per SparseDelta
 # section; an A index is the flat position row*n+col. Layout:
@@ -215,16 +191,6 @@ def order_from_bytes(buf: bytes) -> Order:
     return Order(theta=theta, delta=SparseDelta(*sections), clock=int(clock))
 
 
-def replay_orders(setup, worker_id: int, cohorts, order_frames) -> list[tuple]:
-    """Re-run a recorded order stream against a fresh worker state."""
-    state = setup.init_state(worker_id, tuple(cohorts))
-    out = []
-    for frame in order_frames:
-        state, bests = setup.process_order(state, order_from_bytes(frame))
-        out.append(tuple(bests))
-    return out
-
-
 # --- partitioning -----------------------------------------------------------
 
 
@@ -247,7 +213,7 @@ def block_partition(n_items: int, p: int) -> list[list[int]]:
 # --- the macro-step loop -----------------------------------------------------
 
 
-def _run(workload, exchange, recorder: BsfRecorder | None):
+def _run(workload, exchange):
     """The BSF master loop shared by both backends. Each iteration encodes
     the order, hands the frame to ``exchange`` (which returns one
     ``WorkerResult`` per worker, in worker order: the barrier), then merges
@@ -256,12 +222,7 @@ def _run(workload, exchange, recorder: BsfRecorder | None):
     eval_ns, iter_ns = [], []
     while True:
         start = time.perf_counter_ns()
-        frame = order_to_bytes(workload.make_order())
-        if recorder is not None:
-            recorder.orders.append(frame)
-        results = exchange(frame)
-        if recorder is not None:
-            recorder.results.append(list(results))
+        results = exchange(order_to_bytes(workload.make_order()))
         t0 = time.perf_counter_ns()
         workload.evaluate(workload.merge_results(results))
         end = time.perf_counter_ns()
@@ -271,8 +232,18 @@ def _run(workload, exchange, recorder: BsfRecorder | None):
             return eval_ns, iter_ns
 
 
-def _run_sim(workload, setup, partition, timing: SimTiming, recorder: BsfRecorder | None):
-    """In-process exchange; the metrics are the closed-form ``timing`` charges."""
+# the simulator's one-byte latency L unless ``BsfExecutor.sim_latency_ns``
+# sets it, and its fixed synthetic charges besides L (ns)
+DEFAULT_LATENCY_NS = 10_000.0
+_SIM_SEND_NS = 2_000.0
+_SIM_WORK_NS_PER_COHORT = 100_000.0
+_SIM_RECV_NS = 2_000.0
+_SIM_EVALUATE_NS = 10_000.0
+
+
+def _run_sim(workload, setup, partition, latency_ns: float):
+    """In-process exchange; the metrics are closed-form charges: the
+    ``latency_ns`` given and the fixed ``_SIM_*`` costs."""
     p_workers = len(partition)
     states = [setup.init_state(w, tuple(part)) for w, part in enumerate(partition)]
 
@@ -283,19 +254,19 @@ def _run_sim(workload, setup, partition, timing: SimTiming, recorder: BsfRecorde
             results.append(WorkerResult(w, tuple(bests)))
         return results
 
-    _, iter_ns = _run(workload, exchange, recorder)
-    work_ns = [timing.work_ns_per_cohort * len(part) for part in partition]
+    _, iter_ns = _run(workload, exchange)
+    work_ns = [_SIM_WORK_NS_PER_COHORT * len(part) for part in partition]
     t_v = statistics.fmean(work_ns)
     metrics = RunMetrics(
         p_workers=p_workers,
-        latency_ns=timing.latency_ns,
-        t_s_ns=timing.send_ns,
+        latency_ns=latency_ns,
+        t_s_ns=_SIM_SEND_NS,
         t_v_ns=t_v,
-        t_r_ns=p_workers * timing.recv_ns,
-        t_p_ns=timing.evaluate_ns,
+        t_r_ns=p_workers * _SIM_RECV_NS,
+        t_p_ns=_SIM_EVALUATE_NS,
         t_w_ns=p_workers * t_v,
-        iter_ns=(p_workers * (timing.send_ns + timing.latency_ns) + max(work_ns)
-                 + timing.latency_ns + p_workers * timing.recv_ns + timing.evaluate_ns),
+        iter_ns=(p_workers * (_SIM_SEND_NS + latency_ns) + max(work_ns)
+                 + latency_ns + p_workers * _SIM_RECV_NS + _SIM_EVALUATE_NS),
         t_v_spread_ns=float(max(work_ns) - min(work_ns)),
         iterations=len(iter_ns),
     )
@@ -339,41 +310,25 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
             pass
 
 
-def _driver_modules(namespace: dict) -> set[str]:
-    """The modules bound in a driver's top-level ``namespace``: each module
-    by its name, each function or class by its ``__module__`` (``__main__``
-    for the driver's own)."""
-    names = set()
-    for value in namespace.values():
-        if isinstance(value, types.ModuleType):
-            names.add(value.__name__)
-        elif isinstance(value, (type, types.FunctionType, types.BuiltinFunctionType)):
-            names.add(value.__module__)
-    return {name for name in names if isinstance(name, str)}
-
-
-_SAFE_IMPORTS = sys.stdlib_module_names | {"nslp"}
-
-
-def _driver_imports(namespace: dict) -> list[str]:
-    """The standard-library and nslp modules bound in a driver's top-level
-    ``namespace``, sorted: each module by its name, each imported function
-    or class by its ``__module__``. Other modules are left out: they may
-    start threads or fail with more than the ``ImportError`` a fork server
-    forgives, which would fork workers from a threaded server or kill it.
-    For the same reason the server runs the driver's top level only when
-    nothing else is bound there (``_server_may_run_main``)."""
-    return sorted(name for name in _driver_modules(namespace)
-                  if name.partition(".")[0] in _SAFE_IMPORTS and name != "builtins")
-
-
 def _server_may_run_main(namespace: dict) -> bool:
     """Whether the fork server may run the driver's top level: when every
-    module it binds (as ``_driver_modules`` finds them) is standard-library,
-    numpy, nslp or the driver itself, so that running it starts no thread
-    a third-party or sibling module might start at import."""
-    known = _SAFE_IMPORTS | {"numpy", "__main__"}
-    return all(name.partition(".")[0] in known for name in _driver_modules(namespace))
+    module bound in its ``namespace`` (each module by its name, each
+    function or class by its ``__module__``, ``__main__`` for the driver's
+    own) is standard-library, numpy, nslp or the driver itself. Other
+    modules may start threads or fail with more than the ``ImportError`` a
+    fork server forgives, which would fork workers from a threaded server
+    or kill it."""
+    known = sys.stdlib_module_names | {"numpy", "nslp", "__main__"}
+    for value in namespace.values():
+        if isinstance(value, types.ModuleType):
+            name = value.__name__
+        elif isinstance(value, (type, types.FunctionType, types.BuiltinFunctionType)):
+            name = value.__module__
+        else:
+            continue
+        if isinstance(name, str) and name.partition(".")[0] not in known:
+            return False
+    return True
 
 
 # the master's hand-off to ``nslp._server_main``: set only while the first
@@ -386,19 +341,19 @@ def _pool_context():
     """The start method of every pool in this process: one fork server,
     started at the first pool (which pays the server's start, about 0.3 s
     for a fresh interpreter importing numpy and nslp), that forks each
-    worker with numpy, nslp and the driver's standard-library and nslp
-    imports already loaded. When the driver is a script (not ``python -m``)
-    whose top level binds only standard-library, numpy and nslp modules,
-    the server also runs that top level once, as ``__mp_main__`` with the
-    master's ``sys.argv`` and ``sys.path``, and the workers it forks find it
-    done. Any other driver, or one whose top level raises in the server (a
-    driver without a ``__main__`` guard starts a pool there, which
-    multiprocessing refuses), is run again by each worker as it starts.
-    Either way the top level runs outside the master, so a driver needs a
-    ``__main__`` guard. The server is stopped and reaped when this process
-    exits. Each pool measures ``L`` once per start, before the first order:
-    the median of ``BsfExecutor.latency_rounds`` (64 by default) one-byte
-    round trips to worker 0, halved."""
+    worker with numpy and nslp already loaded. When the driver is a script
+    (not ``python -m``) whose top level binds only standard-library, numpy
+    and nslp modules (``_server_may_run_main``), the server also runs that
+    top level once, as ``__mp_main__`` with the master's ``sys.argv`` and
+    ``sys.path``, and the workers it forks find it done. Any other driver,
+    or one whose top level raises in the server (a driver without a
+    ``__main__`` guard starts a pool there, which multiprocessing refuses),
+    is run again by each worker as it starts. Either way the top level runs
+    outside the master, so a driver needs a ``__main__`` guard. The server
+    is stopped and reaped when this process exits. Each pool measures ``L``
+    once per start, before the first order: the median of
+    ``BsfExecutor.latency_rounds`` (64 by default) one-byte round trips to
+    worker 0, halved."""
     import multiprocessing as mp
     from multiprocessing import forkserver, spawn, util
 
@@ -417,15 +372,13 @@ def _pool_context():
         os.environ["PYTHONPATH"] = os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")]))
     ctx = mp.get_context("forkserver")
-    namespace = vars(sys.modules["__main__"])
     main_path = data.get("init_main_from_path")
-    if main_path is not None and _server_may_run_main(namespace):
+    if main_path is not None and _server_may_run_main(vars(sys.modules["__main__"])):
         os.environ[_SERVER_MAIN_VAR] = json.dumps(
             [main_path, data["sys_argv"], data["sys_path"]], default=os.fspath)
     else:
         os.environ.pop(_SERVER_MAIN_VAR, None)
-    ctx.set_forkserver_preload(list(dict.fromkeys(
-        ["numpy", "nslp", *_driver_imports(namespace), "nslp._server_main"])))
+    ctx.set_forkserver_preload(["numpy", "nslp", "nslp._server_main"])
     # priority < 0 runs after multiprocessing has joined the live children
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     try:
@@ -526,7 +479,7 @@ class _Pool:
                 pass
 
 
-def _run_pool(workload, setup, partition, recorder: BsfRecorder | None, latency_rounds: int):
+def _run_pool(workload, setup, partition, latency_rounds: int):
     """Pipe exchange; the metrics are measured on the master."""
     from multiprocessing.connection import wait
 
@@ -558,7 +511,7 @@ def _run_pool(workload, setup, partition, recorder: BsfRecorder | None, latency_
                     results[w] = WorkerResult(*pickle.loads(reply[9:]))
             return results
 
-        eval_ns, iter_ns = _run(workload, exchange, recorder)
+        eval_ns, iter_ns = _run(workload, exchange)
         worker_means = [statistics.fmean(v) for v in tv_by_worker]
         t_v = statistics.fmean(worker_means)
         metrics = RunMetrics(
@@ -583,11 +536,13 @@ BACKENDS = ("sequential-sim", "worker-pool")
 
 @dataclass(frozen=True)
 class BsfExecutor:
-    """A configured backend choice, passed to the solvers that need one."""
+    """A configured backend choice, passed to the solvers that need one.
+    ``sim_latency_ns`` is the simulator's ``L``; the pool measures its own
+    over ``latency_rounds`` ping round trips."""
 
     backend: str = "sequential-sim"
     p_workers: int = 1
-    sim_timing: SimTiming = field(default_factory=SimTiming)
+    sim_latency_ns: float = DEFAULT_LATENCY_NS
     latency_rounds: int = 64
 
     def __post_init__(self):
@@ -597,8 +552,11 @@ class BsfExecutor:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0.0 <= self.sim_latency_ns < math.inf:
+            raise ValueError("sim_latency_ns must be finite and nonnegative, "
+                             f"got {self.sim_latency_ns!r}")
 
-    def run(self, workload, recorder: BsfRecorder | None = None):
+    def run(self, workload):
         """Run a workload through the farm; returns (final state, RunMetrics).
 
         Both backends produce identical workload outputs; only the metrics
@@ -607,5 +565,5 @@ class BsfExecutor:
         partition = block_partition(workload.cohort_count, self.p_workers)
         setup = workload.init(self.p_workers, partition)
         if self.backend == "sequential-sim":
-            return _run_sim(workload, setup, partition, self.sim_timing, recorder)
-        return _run_pool(workload, setup, partition, recorder, self.latency_rounds)
+            return _run_sim(workload, setup, partition, self.sim_latency_ns)
+        return _run_pool(workload, setup, partition, self.latency_rounds)

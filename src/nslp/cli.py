@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsf import BsfExecutor, SimTiming, metrics_from_csv, metrics_to_csv
+from .bsf import DEFAULT_LATENCY_NS, BsfExecutor, metrics_from_csv, metrics_to_csv
 from .charts import line_chart
-from .cost_model import (DEFAULT_LATENCY_NS, ScenarioModel, calibrate,
-                         curves_to_csv, delta_fraction, predict_curves)
+from .cost_model import (ScenarioModel, calibrate, curves_to_csv, delta_fraction,
+                         predict_curves)
 from .lp import DriftSpec, NonStationaryLP, model_n, model_n_optimum, read_problem
 from .quest import FejerConfig, pseudo_project
 from .targeting import TargetingConfig, run_targeting
@@ -107,15 +107,11 @@ def _build_problem(args, n: int, delta: float) -> NonStationaryLP:
     return NonStationaryLP(base=base, drift=drift)
 
 
-def _quest_config(args) -> FejerConfig:
-    return FejerConfig(relaxation=args.quest_lambda, tolerance=args.quest_tolerance,
-                       max_iterations=args.quest_max_iter)
-
-
-def _targeting_config(args, oracle_gap: bool = False) -> TargetingConfig:
+def _targeting_config(args) -> TargetingConfig:
+    quest = FejerConfig(relaxation=args.quest_lambda, tolerance=args.quest_tolerance,
+                        max_iterations=args.quest_max_iter)
     return TargetingConfig(points_per_cohort=args.k, spacing=args.spacing,
-                           stall_limit=args.stall_limit, quest=_quest_config(args),
-                           oracle_gap=oracle_gap)
+                           stall_limit=args.stall_limit, quest=quest)
 
 
 def _cap_workers(workers: list[int]) -> list[int]:
@@ -135,14 +131,15 @@ def _cap_workers(workers: list[int]) -> list[int]:
 
 def _session(args, workers: list[int]):
     """The preamble ``run`` and ``track`` share: a single ``--n``, the
-    problem, the capped worker list, each count in [1, n], and then the
-    output directory. Returns (problem, delta mode, custom delta, workers,
-    out)."""
+    tracker's settings, the problem, the capped worker list, each count in
+    [1, n], and then the output directory. Returns (problem, delta mode,
+    custom delta, tracker config, workers, out)."""
     ns = _parse_ints(args.n, "dimension")
     if len(ns) != 1:
         raise argparse.ArgumentTypeError(f"{args.command} takes a single --n")
     if args.iters < 1:
         raise argparse.ArgumentTypeError("--iters must be >= 1")
+    cfg = _targeting_config(args)
     mode, frac, custom = _resolve_delta(args.delta, ns[0])
     problem = _build_problem(args, ns[0], frac)
     workers = _cap_workers(workers)
@@ -152,7 +149,7 @@ def _session(args, workers: list[int]):
         raise argparse.ArgumentTypeError(f"worker counts out of range [1, {n}]: {bad}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return problem, mode, custom, workers, out
+    return problem, mode, custom, cfg, workers, out
 
 
 RESULTS_HEADER = "P,time_ns,speedup_meas,eff_meas,speedup_pred,eff_pred,bound"
@@ -162,17 +159,18 @@ def cmd_run(args) -> int:
     if args.latency_ns is not None and args.backend == "pool":
         raise argparse.ArgumentTypeError(
             "--latency-ns sets the simulator's L; the pool measures its own")
-    timing = SimTiming(
-        latency_ns=DEFAULT_LATENCY_NS if args.latency_ns is None else args.latency_ns)
-    problem, mode, custom, workers, out = _session(args, _parse_ints(args.workers, "worker"))
+    executor = BsfExecutor(
+        _BACKENDS[args.backend],
+        sim_latency_ns=DEFAULT_LATENCY_NS if args.latency_ns is None else args.latency_ns)
+    problem, mode, custom, cfg, workers, out = _session(
+        args, _parse_ints(args.workers, "worker"))
     n = problem.base.n
-    quest = pseudo_project(problem, np.zeros(n), _quest_config(args), clock=problem.clock)
-    cfg = _targeting_config(args)
+    quest = pseudo_project(problem, np.zeros(n), cfg.quest, clock=problem.clock)
 
     runs: dict[int, tuple] = {}
     for p in workers:
-        executor = BsfExecutor(_BACKENDS[args.backend], p, sim_timing=timing)
-        trace = run_targeting(problem, quest.z, cfg, args.iters, executor)
+        trace = run_targeting(problem, quest.z, cfg, args.iters,
+                              replace(executor, p_workers=p))
         runs[p] = trace
         print(f"P={p}: {trace.metrics.iter_ns / 1e6:.3f} ms/iteration")
 
@@ -205,23 +203,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_track(args) -> int:
-    problem, _, _, (p,), out = _session(args, [args.workers])
+    if args.start == "near-opt" and args.problem_file:
+        raise argparse.ArgumentTypeError(
+            "--start near-opt needs the synthetic family (no --problem-file)")
+    problem, _, _, cfg, (p,), out = _session(args, [args.workers])
     n = problem.base.n
     gap_mode = args.oracle_gap
     oracle_gap = gap_mode == "on" or (gap_mode == "auto" and n <= 12 and problem.base.m <= 100)
 
     start = np.zeros(n)
     if args.start == "near-opt":
-        if args.problem_file:
-            raise argparse.ArgumentTypeError(
-                "--start near-opt needs the synthetic family (no --problem-file)")
         x_star, _ = model_n_optimum(n, theta=args.theta)
         rng = np.random.default_rng(args.seed)
         start = np.maximum(x_star - rng.uniform(0.0, 2 * args.spacing, n), 0.0)
-    quest = pseudo_project(problem, start, _quest_config(args), clock=problem.clock)
-    cfg = _targeting_config(args, oracle_gap=oracle_gap)
-    trace = run_targeting(problem, quest.z, cfg, args.iters,
-                          BsfExecutor(_BACKENDS[args.backend], p))
+    quest = pseudo_project(problem, start, cfg.quest, clock=problem.clock)
+    trace = run_targeting(problem, quest.z, replace(cfg, oracle_gap=oracle_gap),
+                          args.iters, BsfExecutor(_BACKENDS[args.backend], p))
     trace.to_csv(out / "trace.csv")
 
     final = trace.final

@@ -8,10 +8,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .bsf import RunMetrics
+from .bsf import DEFAULT_LATENCY_NS, RunMetrics
 
 DELTA_MODES = ("full", "one-row", "custom")
-DEFAULT_LATENCY_NS = 10_000.0
 
 
 @dataclass(frozen=True)

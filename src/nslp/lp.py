@@ -188,7 +188,7 @@ def model_n(n: int, theta: float = DEFAULT_THETA) -> DenseLP:
 
     The construction is deterministic.
     """
-    n = _check_dimension(n)
+    n = _check_model(n, theta)
     eye = np.eye(n)
     A = np.vstack([eye, -eye, np.ones((1, n)), -np.ones((1, n))])
     b = np.concatenate([np.full(n, theta), np.zeros(n), [theta * (n + 1) / 2.0], [0.0]])
@@ -198,7 +198,7 @@ def model_n(n: int, theta: float = DEFAULT_THETA) -> DenseLP:
 
 def model_n_optimum(n: int, theta: float = DEFAULT_THETA) -> tuple[np.ndarray, float]:
     """Closed-form unique optimum (x*, <c, x*>) of ``model_n(n)``."""
-    n = _check_dimension(n)
+    n = _check_model(n, theta)
     c = _model_weights(n)
     budget = theta * (n + 1) / 2.0
     x = np.zeros(n)
@@ -217,9 +217,11 @@ def _model_weights(n: int) -> np.ndarray:
     return n / (np.arange(1, n + 1, dtype=np.float64) ** 2)
 
 
-def _check_dimension(n: int) -> int:
+def _check_model(n: int, theta: float) -> int:
     if int(n) != n or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta!r}")
     return int(n)
 
 

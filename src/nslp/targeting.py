@@ -43,6 +43,8 @@ class TargetingConfig:
     def __post_init__(self):
         if self.stall_limit < 1:
             raise ValueError("stall_limit must be >= 1")
+        # the cross checks K and the spacing; any center of dimension 2 will do
+        Cross(np.zeros(2), self.spacing, self.points_per_cohort)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 import nslp
-from nslp import (BsfExecutor, BsfRecorder, BsfWorkerError, Cross, DriftSpec,
-                  NonStationaryLP, Order, SimTiming, SparseDelta, apply_delta,
-                  block_partition, evaluate, make_order, model_n,
-                  model_n_optimum, order_from_bytes, order_to_bytes,
-                  process_cohorts, replay_orders, run_targeting, snapshot)
-from nslp.bsf import (RunMetrics, WorkerResult, _driver_imports, _Pool, _pool_context,
-                      _server_may_run_main, metrics_from_csv, metrics_to_csv)
+from nslp import (BsfExecutor, BsfWorkerError, Cross, DriftSpec, NonStationaryLP,
+                  Order, SparseDelta, apply_delta, block_partition, evaluate,
+                  make_order, model_n, model_n_optimum, order_from_bytes,
+                  order_to_bytes, process_cohorts, run_targeting, snapshot)
+from nslp.bsf import (RunMetrics, WorkerResult, _Pool, _pool_context, _server_may_run_main,
+                      metrics_from_csv, metrics_to_csv)
 from nslp.targeting import (TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
 
@@ -290,19 +289,20 @@ def test_pool_metrics_identities():
 def test_sim_metrics_are_synthetic_and_deterministic():
     problem = NonStationaryLP(base=model_n(4))
     cfg = TargetingConfig(points_per_cohort=2, spacing=0.5)
-    timing = SimTiming(latency_ns=123.0, send_ns=10.0, work_ns_per_cohort=7.0,
-                       recv_ns=3.0, evaluate_ns=5.0)
-    ex = BsfExecutor("sequential-sim", 2, sim_timing=timing)
+    ex = BsfExecutor("sequential-sim", 2, sim_latency_ns=123.0)
     a = run_targeting(problem, np.zeros(4), cfg, 5, ex).metrics
     b = run_targeting(problem, np.zeros(4), cfg, 5, ex).metrics
     assert a == b
+    # L as set; send 2 us, 100 us of work per cohort, receive 2 us, evaluate 10 us
     assert a.latency_ns == 123.0
-    assert a.t_s_ns == 10.0
-    assert a.t_v_ns == 14.0  # two cohorts per worker
-    assert a.t_w_ns == 28.0
-    assert a.t_r_ns == 6.0
-    assert a.t_p_ns == 5.0
-    assert a.iter_ns == 2 * (10.0 + 123.0) + 14.0 + 123.0 + 2 * 3.0 + 5.0
+    assert a.t_s_ns == 2_000.0
+    assert a.t_v_ns == 200_000.0  # two cohorts per worker
+    assert a.t_w_ns == 400_000.0
+    assert a.t_r_ns == 4_000.0
+    assert a.t_p_ns == 10_000.0
+    assert a.t_v_spread_ns == 0.0
+    assert a.iterations == 5
+    assert a.iter_ns == 2 * (2_000.0 + 123.0) + 200_000.0 + 123.0 + 2 * 2_000.0 + 10_000.0
 
 
 def test_metrics_csv_round_trips_its_seven_fields(tmp_path):
@@ -660,12 +660,6 @@ def _driver_namespace():
     return namespace
 
 
-def test_fork_server_preloads_only_the_drivers_stdlib_and_nslp_imports():
-    namespace = _driver_namespace()
-    assert _driver_imports(namespace) == [
-        "json", "nslp.cli", "os", "pathlib", "posixpath", "time"]
-
-
 @pytest.mark.parametrize("foreign", [types.ModuleType("helper"), pytest.raises,
                                      pytest.MonkeyPatch],
                          ids=["sibling-module", "third-party-function", "third-party-class"])
@@ -702,13 +696,11 @@ def test_executor_rejects_bad_counts_before_any_process_starts(field, value):
     assert getattr(BsfExecutor("worker-pool", **{field: 1}), field) == 1
 
 
-@pytest.mark.parametrize("field", ["latency_ns", "send_ns", "work_ns_per_cohort",
-                                   "recv_ns", "evaluate_ns"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-def test_sim_timing_rejects_bad_costs(field, value):
-    with pytest.raises(ValueError, match=field):
-        SimTiming(**{field: value})
-    assert getattr(SimTiming(**{field: 0.0}), field) == 0.0
+def test_executor_rejects_a_bad_sim_latency_before_any_process_starts(value):
+    with pytest.raises(ValueError, match="sim_latency_ns"):
+        BsfExecutor("worker-pool", sim_latency_ns=value)
+    assert BsfExecutor("worker-pool", sim_latency_ns=0.0).sim_latency_ns == 0.0
 
 
 def test_record_replay_bit_reproduces_results():
@@ -718,14 +710,34 @@ def test_record_replay_bit_reproduces_results():
                                               delta=0.1, magnitude=0.5, seed=8))
     z = _near_optimum_start(n)
     cfg = TargetingConfig(points_per_cohort=4, spacing=0.25)
-    recorder = BsfRecorder()
-    workload = TargetingWorkload(problem, z, cfg, 12)
-    BsfExecutor("sequential-sim", 2).run(workload, recorder=recorder)
-    assert len(recorder.orders) == 12
+
+    class RecordingWorkload(TargetingWorkload):
+        """Records each order's frame and each iteration's worker results."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.frames, self.results = [], []
+
+        def make_order(self):
+            order = super().make_order()
+            self.frames.append(order_to_bytes(order))
+            return order
+
+        def merge_results(self, results):
+            self.results.append(list(results))
+            return super().merge_results(results)
+
+    workload = RecordingWorkload(problem, z, cfg, 12)
+    BsfExecutor("sequential-sim", 2).run(workload)
+    assert len(workload.frames) == len(workload.results) == 12
 
     partition = block_partition(n, 2)
     setup = TargetingWorkload(problem, z, cfg, 12).init(2, partition)
     for w in range(2):
-        replayed = replay_orders(setup, w, partition[w], recorder.orders)
-        assert replayed == [results[w].bests for results in recorder.results]
+        state = setup.init_state(w, tuple(partition[w]))
+        replayed = []
+        for frame in workload.frames:
+            state, bests = setup.process_order(state, order_from_bytes(frame))
+            replayed.append(tuple(bests))
+        assert replayed == [results[w].bests for results in workload.results]
 

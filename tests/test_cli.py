@@ -158,12 +158,21 @@ def test_missing_problem_file_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--spacing", "nan"), ("--spacing", "inf"),
-                                         ("--quest-tolerance", "nan")])
-def test_track_rejects_non_finite_settings(tmp_path, capsys, flag, value):
-    code = main(["track", "--n", "6", "--iters", "3", flag, value,
-                 "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+                                         ("--quest-tolerance", "nan"), ("--k", "3"),
+                                         ("--stall-limit", "0"), ("--quest-lambda", "3"),
+                                         ("--quest-max-iter", "0"), ("--theta", "-5")])
+def test_track_rejects_non_finite_settings(tmp_path, monkeypatch, capsys, flag, value):
+    # run and track check every solver setting before any pass and before --out exists
+    passes = []
+    monkeypatch.setattr("nslp.cli.pseudo_project", lambda *args, **kw: passes.append(args))
+    for command in ("run", "track"):
+        out = tmp_path / command
+        code = main([command, "--n", "6", "--iters", "3", "--workers", "1",
+                     "--backend", "sim", flag, value, "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+    assert passes == []
 
 
 def test_run_with_drift(tmp_path):
@@ -319,6 +328,7 @@ def test_track_near_opt_rejects_problem_file(tmp_path):
         main(["track", "--n", "4", "--start", "near-opt", "--problem-file", str(path),
               "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_problem_file_flag(tmp_path):

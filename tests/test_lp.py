@@ -29,6 +29,15 @@ def test_model_n_rejects_small_dimension():
             model_n_optimum(bad)
 
 
+@pytest.mark.parametrize("theta", [0.0, -5.0, float("nan"), float("inf"), -float("inf")])
+def test_model_n_rejects_a_box_that_is_not_finite_and_positive(theta):
+    with pytest.raises(ValueError, match="theta"):
+        model_n(4, theta=theta)
+    with pytest.raises(ValueError, match="theta"):
+        model_n_optimum(4, theta=theta)
+    assert model_n(4, theta=1e-3).b[0] == 1e-3
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_model_n_optimum_is_feasible_and_consistent(n):
     lp = model_n(n)

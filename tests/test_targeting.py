@@ -692,6 +692,15 @@ def test_run_targeting_validation(unit_square):
         TargetingConfig(stall_limit=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("points_per_cohort", 3), ("points_per_cohort", 0), ("spacing", 0.0),
+    ("spacing", float("nan")), ("spacing", float("inf"))])
+def test_targeting_config_checks_the_cross_settings(field, value):
+    # at construction, before any workload or cross exists
+    with pytest.raises(ValueError, match="points per cohort|spacing"):
+        TargetingConfig(**{field: value})
+
+
 def test_workload_clock_advances_with_snapshot(unit_square_explicit):
     v = np.array([0.25, 0.0])
     problem = NonStationaryLP(base=unit_square_explicit,
