@@ -18,7 +18,7 @@ Workload protocol (duck-typed):
     workload.cohort_count                      -> int
     workload.init(p_workers, partition)        -> setup  (picklable)
     workload.make_order()                      -> Order
-    workload.merge_results(list[WorkerResult]) -> merged
+    workload.merge_results(list[WorkerResult]) -> merged  (in worker order)
     workload.evaluate(merged)                  -> None
     workload.exit_check()                      -> bool
     workload.finalize()                        -> final state
@@ -27,7 +27,8 @@ Workload protocol (duck-typed):
     setup.process_order(state, order)          -> (state, bests)
 
 ``process_order`` must be pure in (state, order): replaying a recorded
-order stream bit-reproduces the results.
+order stream bit-reproduces the results. ``merge_results`` gets one
+``WorkerResult`` per worker, in worker order, and may rely on that order.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ _PAIR = np.dtype([("i", "<u4"), ("v", "<f8")])
 
 ORDER_FRAME = b"O"
 PING_FRAME = b"P"
-STOP_FRAME = b"S"
 RESULT_FRAME = b"R"
-PONG_FRAME = b"p"
 ERROR_FRAME = b"E"
 
 
@@ -151,8 +150,10 @@ def metrics_from_csv(path) -> list[RunMetrics]:
 #   u32 count_a | count_a x (u32 A index, f64 value)
 #   u32 count_b | count_b x (u32 b index, f64 value)
 #   u32 count_c | count_c x (u32 c index, f64 value)
-# Results go back pickled: per cohort, the winning marker's offset and its
-# value, which the master turns back into a point on its own cross.
+# A worker echoes a PING frame and answers an ORDER with a RESULT frame: its
+# t_v (u64 ns) and pickled bests, per cohort the winning marker's offset and
+# value, which the master turns back into a point on its own cross. The pipe
+# names the worker, which lives until the master closes that pipe.
 
 
 def _pairs_to_bytes(idx: np.ndarray, vals: np.ndarray) -> bytes:
@@ -217,8 +218,9 @@ def _run(workload, exchange):
     """The BSF master loop shared by both backends. Each iteration encodes
     the order, hands the frame to ``exchange`` (which returns one
     ``WorkerResult`` per worker, in worker order: the barrier), then merges
-    and evaluates, until ``exit_check``. Returns the per-iteration evaluate
-    and whole-iteration times (ns)."""
+    and evaluates, until ``exit_check``. ``merge_results`` gets the results
+    in that order and may rely on it. Returns the per-iteration evaluate and
+    whole-iteration times (ns)."""
     eval_ns, iter_ns = [], []
     while True:
         start = time.perf_counter_ns()
@@ -242,15 +244,17 @@ _SIM_EVALUATE_NS = 10_000.0
 
 
 def _run_sim(workload, setup, partition, latency_ns: float):
-    """In-process exchange; the metrics are closed-form charges: the
+    """In-process exchange: each frame is decoded once and the read-only
+    ``Order`` goes to every worker. The metrics are closed-form charges: the
     ``latency_ns`` given and the fixed ``_SIM_*`` costs."""
     p_workers = len(partition)
     states = [setup.init_state(w, tuple(part)) for w, part in enumerate(partition)]
 
     def exchange(frame: bytes) -> list[WorkerResult]:
+        order = order_from_bytes(frame)
         results = []
         for w in range(p_workers):
-            states[w], bests = setup.process_order(states[w], order_from_bytes(frame))
+            states[w], bests = setup.process_order(states[w], order)
             results.append(WorkerResult(w, tuple(bests)))
         return results
 
@@ -288,15 +292,13 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
                 order = order_from_bytes(msg[1:])
                 state, bests = setup.process_order(state, order)
                 t_v = time.perf_counter_ns() - t0
-                payload = pickle.dumps((worker_id, tuple(bests)), protocol=pickle.HIGHEST_PROTOCOL)
+                payload = pickle.dumps(tuple(bests), protocol=pickle.HIGHEST_PROTOCOL)
                 conn.send_bytes(RESULT_FRAME + struct.pack("<Q", t_v) + payload)
             elif tag == PING_FRAME:
-                conn.send_bytes(PONG_FRAME)
-            elif tag == STOP_FRAME:
-                return
+                conn.send_bytes(PING_FRAME)
             else:
                 raise RuntimeError(f"unknown frame tag {tag!r}")
-    except EOFError:
+    except EOFError:  # the master closed the pipe: stop
         pass
     except BaseException:
         try:
@@ -304,10 +306,7 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
         except Exception:
             pass
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
 
 
 def _server_may_run_main(namespace: dict) -> bool:
@@ -450,33 +449,26 @@ class _Pool:
         return msg
 
     def ping_latency_ns(self, rounds: int) -> float:
-        """Median one-byte ping-pong round trip over worker 0, halved."""
+        """Median round trip of a one-byte ping echoed by worker 0, halved."""
         samples = []
         for _ in range(rounds):
             t0 = time.perf_counter_ns()
             self.send(0, PING_FRAME)
-            if self.recv(0) != PONG_FRAME:
+            if self.recv(0) != PING_FRAME:
                 raise BsfWorkerError("unexpected reply to ping")
             samples.append(time.perf_counter_ns() - t0)
         return statistics.median(samples) / 2.0
 
     def shutdown(self) -> None:
+        """Close every pipe (a worker's stop), join each, terminate stragglers."""
         for conn in self.conns:
-            try:
-                conn.send_bytes(STOP_FRAME)
-            except OSError:
-                pass
+            conn.close()
         for proc in self.procs:
             proc.join(timeout=10)
         for proc in self.procs:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
-        for conn in self.conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
 
 
 def _run_pool(workload, setup, partition, latency_rounds: int):
@@ -508,7 +500,7 @@ def _run_pool(workload, setup, partition, latency_rounds: int):
                         raise BsfWorkerError(f"unexpected frame {reply[:1]!r} from worker {w}")
                     (t_v,) = struct.unpack_from("<Q", reply, 1)
                     tv_by_worker[w].append(t_v)
-                    results[w] = WorkerResult(*pickle.loads(reply[9:]))
+                    results[w] = WorkerResult(w, pickle.loads(reply[9:]))
             return results
 
         eval_ns, iter_ns = _run(workload, exchange)

@@ -49,7 +49,8 @@ def _add_solver(p: argparse.ArgumentParser, *, backend_default: str) -> None:
     p.add_argument("--stall-limit", type=int, default=10,
                    help="consecutive all-infeasible iterations before the "
                         "feasibility recovery re-runs (default 10)")
-    p.add_argument("--seed", type=int, default=1, help="seed for generated data (default 1)")
+    p.add_argument("--seed", type=int, default=1,
+                   help="seed for generated data, >= 0 (default 1)")
     p.add_argument("--theta", type=float, default=200.0,
                    help="box size of the synthetic family (problem units; default 200)")
     p.add_argument("--quest-tolerance", type=float, default=1e-9,
@@ -130,15 +131,17 @@ def _cap_workers(workers: list[int]) -> list[int]:
 
 
 def _session(args, workers: list[int]):
-    """The preamble ``run`` and ``track`` share: a single ``--n``, the
-    tracker's settings, the problem, the capped worker list, each count in
-    [1, n], and then the output directory. Returns (problem, delta mode,
-    custom delta, tracker config, workers, out)."""
+    """The preamble ``run`` and ``track`` share: a single ``--n``, a
+    nonnegative ``--seed``, the tracker's settings, the problem, the capped
+    worker list, each count in [1, n], and then the output directory.
+    Returns (problem, delta mode, custom delta, tracker config, workers, out)."""
     ns = _parse_ints(args.n, "dimension")
     if len(ns) != 1:
         raise argparse.ArgumentTypeError(f"{args.command} takes a single --n")
     if args.iters < 1:
         raise argparse.ArgumentTypeError("--iters must be >= 1")
+    if args.seed < 0:
+        raise argparse.ArgumentTypeError("--seed must be >= 0")
     cfg = _targeting_config(args)
     mode, frac, custom = _resolve_delta(args.delta, ns[0])
     problem = _build_problem(args, ns[0], frac)

@@ -98,7 +98,10 @@ class DriftSpec:
         if self.kind == "translate":
             if self.translate_vector is None:
                 raise ValueError("translate drift requires translate_vector")
-            object.__setattr__(self, "translate_vector", _readonly(self.translate_vector))
+            v = _readonly(self.translate_vector)
+            if not np.isfinite(v).all():
+                raise ValueError("translate_vector must be finite")
+            object.__setattr__(self, "translate_vector", v)
 
 
 @dataclass(frozen=True)

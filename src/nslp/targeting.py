@@ -357,13 +357,12 @@ class TargetingWorkload:
         return order
 
     def merge_results(self, results: list[WorkerResult]) -> list[CohortBest]:
+        """Every worker's bests in farm (worker) order; ``evaluate`` sorts them."""
         for r in results:
             if sorted(b.cohort for b in r.bests) != self._partition[r.worker_id]:
                 raise ValueError(
                     f"worker {r.worker_id} answered outside its cohort assignment")
-        bests = [b for r in sorted(results, key=lambda r: r.worker_id) for b in r.bests]
-        bests.sort(key=lambda b: b.cohort)
-        return bests
+        return [b for r in results for b in r.bests]
 
     def evaluate(self, bests: list[CohortBest]) -> None:
         lp = self.lp

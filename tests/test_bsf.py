@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import types
 from multiprocessing.context import ForkServerProcess
 from pathlib import Path
@@ -24,7 +25,7 @@ from nslp import (BsfExecutor, BsfWorkerError, Cross, DriftSpec, NonStationaryLP
                   order_to_bytes, process_cohorts, run_targeting, snapshot)
 from nslp.bsf import (RunMetrics, WorkerResult, _Pool, _pool_context, _server_may_run_main,
                       metrics_from_csv, metrics_to_csv)
-from nslp.targeting import (TargetingConfig, TargetingState, TargetingWorkerSetup,
+from nslp.targeting import (CohortBest, TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
 
 
@@ -173,6 +174,17 @@ def test_worker_result_carries_markers_not_points():
     assert pickle.loads(payload) == result
 
 
+@pytest.mark.parametrize("answer", [(3, 4), (2, 3, 4, 5)])
+def test_merge_results_names_a_worker_whose_bests_miss_or_add_a_cohort(answer):
+    wl = TargetingWorkload(NonStationaryLP(base=model_n(6)), np.zeros(6),
+                           TargetingConfig(points_per_cohort=2, spacing=0.5), 1)
+    wl.init(2, block_partition(6, 2))  # worker 1 owns cohorts 3, 4 and 5
+    good = WorkerResult(0, tuple(CohortBest(c) for c in range(3)))
+    bad = WorkerResult(1, tuple(CohortBest(c) for c in answer))
+    with pytest.raises(ValueError, match="worker 1 answered outside its cohort assignment"):
+        wl.merge_results([good, bad])
+
+
 # --- orders carry exactly the changed entries ---------------------------------
 
 
@@ -305,6 +317,22 @@ def test_sim_metrics_are_synthetic_and_deterministic():
     assert a.iter_ns == 2 * (2_000.0 + 123.0) + 200_000.0 + 123.0 + 2 * 2_000.0 + 10_000.0
 
 
+def test_simulator_decodes_each_order_once(monkeypatch):
+    calls = []
+
+    def order_from_bytes_counted(buf):
+        calls.append(len(buf))
+        return order_from_bytes(buf)
+
+    monkeypatch.setattr(nslp.bsf, "order_from_bytes", order_from_bytes_counted)
+    problem = NonStationaryLP(base=model_n(6), drift=DriftSpec(
+        kind="random-sparse", delta=0.5, magnitude=0.1, seed=3))
+    cfg = TargetingConfig(points_per_cohort=2, spacing=0.5)
+    trace = run_targeting(problem, np.zeros(6), cfg, 5, BsfExecutor("sequential-sim", 3))
+    assert len(trace.rows) == 5
+    assert len(calls) == 5
+
+
 def test_metrics_csv_round_trips_its_seven_fields(tmp_path):
     rows = [RunMetrics(1, 13901.25, 0.1, 1.0 / 3.0, 5e-324, 2.0 ** 53 + 2.0, 7.0,
                        iter_ns=9.0, t_v_spread_ns=1.5, iterations=20),
@@ -412,6 +440,20 @@ def test_failed_pipe_stops_the_started_workers(monkeypatch):
     cfg = TargetingConfig(points_per_cohort=2, spacing=0.5)
     with pytest.raises(BsfWorkerError, match="worker 1 did not start.*too many open files"):
         run_targeting(problem, np.zeros(4), cfg, 1, BsfExecutor("worker-pool", 2))
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_the_pipes_stops_every_worker():
+    # a worker's only stop is the EOF on its pipe; a worker that missed it
+    # would be joined for 10 s and then terminated, with a negative exit code
+    pool = _Pool([[0], [1]], TrivialSetup())
+    try:
+        assert pool.ping_latency_ns(3) > 0.0
+    finally:
+        t0 = time.monotonic()
+        pool.shutdown()
+    assert time.monotonic() - t0 < 10.0
+    assert [proc.exitcode for proc in pool.procs] == [0, 0]
     assert multiprocessing.active_children() == []
 
 

@@ -175,6 +175,35 @@ def test_track_rejects_non_finite_settings(tmp_path, monkeypatch, capsys, flag, 
     assert passes == []
 
 
+@pytest.mark.parametrize("magnitude", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_non_finite_translate_drift_fails_before_out_exists(tmp_path, capsys, command,
+                                                            magnitude):
+    out = tmp_path / "out"
+    code = main([command, "--n", "4", "--iters", "2", "--workers", "1", "--backend", "sim",
+                 "--drift", "translate", "--drift-magnitude", magnitude, "--out", str(out)])
+    assert code == 1
+    assert "translate_vector must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("run", ["--drift", "random"]),
+    ("track", []), ("track", ["--start", "near-opt"]), ("track", ["--drift", "random"]),
+    ("track", ["--start", "near-opt", "--drift", "random"])])
+def test_negative_seed_is_a_usage_error_that_creates_nothing(tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "4", "--iters", "2", "--workers", "1", "--backend", "sim",
+              "--seed", "-1", *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--n", "4", "--iters", "2", "--workers", "1", "--backend", "sim",
+                 "--seed", "0", *extra, "--out", str(out)]) == 0
+    assert out.is_dir()
+
+
 def test_run_with_drift(tmp_path):
     out = tmp_path / "drift"
     assert _run(["run", "--n", "8", "--iters", "4", "--workers", "1,2",

@@ -181,6 +181,13 @@ def test_drift_spec_rejects_non_finite_magnitude(magnitude):
         DriftSpec(kind="random-sparse", delta=0.5, magnitude=magnitude)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_drift_spec_rejects_a_non_finite_translate_vector(bad):
+    # caught at construction, not as a non-finite b when the first snapshot is built
+    with pytest.raises(ValueError, match="translate_vector must be finite"):
+        DriftSpec(kind="translate", translate_vector=np.array([1.0, bad]))
+
+
 # --- deltas -------------------------------------------------------------------
 
 
