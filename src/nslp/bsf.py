@@ -33,6 +33,7 @@ order stream bit-reproduces the results. ``merge_results`` gets one
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -127,14 +128,20 @@ def metrics_to_csv(rows, path) -> None:
 
 
 def metrics_from_csv(path) -> list[RunMetrics]:
-    """The rows ``metrics_to_csv`` wrote, with the seven CSV fields set."""
+    """The rows ``metrics_to_csv`` wrote, with the seven CSV fields set;
+    blank lines are skipped."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != RunMetrics.CSV_HEADER:
             raise ValueError(f"unexpected metrics header {header!r}")
-        for line in fh:
-            p, latency, ts, tv, tr, tp, tw = line.strip().split(",")
+        for lineno, line in enumerate(fh, start=2):
+            if line.isspace():
+                continue
+            fields = line.strip().split(",")
+            if len(fields) != 7:
+                raise ValueError(f"metrics line {lineno} has {len(fields)} fields, expected 7")
+            p, latency, ts, tv, tr, tp, tw = fields
             rows.append(RunMetrics(p_workers=int(p), latency_ns=float(latency),
                                    t_s_ns=float(ts), t_v_ns=float(tv), t_r_ns=float(tr),
                                    t_p_ns=float(tp), t_w_ns=float(tw)))
@@ -359,17 +366,6 @@ def _pool_context():
     # first: in a process still bootstrapping (a worker or the server running
     # an unguarded driver) this raises before any process starts
     data = spawn.get_preparation_data("forkserver")
-    # workers inherit the server's environment, not the master's: keep their
-    # math on one BLAS thread (deterministic reductions, no oversubscription
-    # underneath the process-level parallelism) before the server starts
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    # the server does not take the master's sys.path: point it at this nslp,
-    # unless that sits in a site directory a fresh interpreter searches anyway
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    if os.path.basename(root) not in ("site-packages", "dist-packages"):
-        os.environ["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [root, os.environ.get("PYTHONPATH")]))
     ctx = mp.get_context("forkserver")
     main_path = data.get("init_main_from_path")
     if main_path is not None and _server_may_run_main(vars(sys.modules["__main__"])):
@@ -381,10 +377,40 @@ def _pool_context():
     # priority < 0 runs after multiprocessing has joined the live children
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     try:
-        forkserver.ensure_running()
+        with _server_environ():
+            forkserver.ensure_running()
     finally:
         os.environ.pop(_SERVER_MAIN_VAR, None)
     return ctx
+
+
+_SERVER_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "PYTHONPATH")
+
+
+@contextlib.contextmanager
+def _server_environ():
+    """The fork server's environment, set in this process only while a
+    server may start: at the first pool, and at each worker start, since
+    ``Process.start()`` restarts a server that has died. The caller's values
+    come back afterwards. Workers inherit the server's environment, not the
+    master's: their math runs on one BLAS thread (deterministic reductions,
+    no oversubscription underneath the process-level parallelism), and the
+    server, which does not take the master's sys.path, finds this nslp
+    unless it sits in a site directory a fresh interpreter searches anyway."""
+    saved = {var: os.environ.get(var) for var in _SERVER_VARS}
+    for var in _SERVER_VARS[:3]:
+        os.environ.setdefault(var, "1")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if os.path.basename(root) not in ("site-packages", "dist-packages"):
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [root, saved["PYTHONPATH"]]))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 class _Pool:
@@ -401,17 +427,18 @@ class _Pool:
         self.procs = []
         children = []
         try:
-            for w, part in enumerate(partition):
-                try:
-                    parent, child = ctx.Pipe(duplex=True)
-                    self.conns.append(parent)
-                    children.append(child)
-                    proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part)),
-                                       daemon=True)
-                    proc.start()
-                except (EOFError, OSError) as exc:
-                    raise BsfWorkerError(f"worker {w} did not start: {exc!r}") from exc
-                self.procs.append(proc)
+            with _server_environ():
+                for w, part in enumerate(partition):
+                    try:
+                        parent, child = ctx.Pipe(duplex=True)
+                        self.conns.append(parent)
+                        children.append(child)
+                        proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part)),
+                                           daemon=True)
+                        proc.start()
+                    except (EOFError, OSError) as exc:
+                        raise BsfWorkerError(f"worker {w} did not start: {exc!r}") from exc
+                    self.procs.append(proc)
             for child in children:
                 child.close()
             # the setup goes out as each worker's first frame once all have

@@ -77,19 +77,17 @@ def _parse_ints(text: str, what: str) -> list[int]:
     return vals
 
 
-def _resolve_delta(text: str, n: int) -> tuple[str, float, float | None]:
-    """Returns (mode, fraction, custom) for the scenario model and drift."""
-    if text == "full":
-        return "full", 1.0, None
-    if text == "one-row":
-        return "one-row", delta_fraction("one-row", n), None
+def _resolve_delta(text: str) -> str | float:
+    """The change regime ``--delta`` names: full, one-row or a fraction."""
+    if text in ("full", "one-row"):
+        return text
     try:
         val = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--delta must be full, one-row or a float, got {text!r}")
     if not 0.0 <= val <= 1.0:
         raise argparse.ArgumentTypeError("--delta float must lie in [0, 1]")
-    return "custom", val, val
+    return val
 
 
 def _build_problem(args, n: int, delta: float) -> NonStationaryLP:
@@ -119,7 +117,10 @@ def _cap_workers(workers: list[int]) -> list[int]:
     cap = os.environ.get(THREAD_CAP_ENV)
     if not cap:
         return workers
-    cap = int(cap)
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{THREAD_CAP_ENV} must be an integer, got {cap!r}")
     kept = [p for p in workers if p <= cap]
     dropped = [p for p in workers if p > cap]
     if not kept:
@@ -134,7 +135,7 @@ def _session(args, workers: list[int]):
     """The preamble ``run`` and ``track`` share: a single ``--n``, a
     nonnegative ``--seed``, the tracker's settings, the problem, the capped
     worker list, each count in [1, n], and then the output directory.
-    Returns (problem, delta mode, custom delta, tracker config, workers, out)."""
+    Returns (problem, change regime, tracker config, workers, out)."""
     ns = _parse_ints(args.n, "dimension")
     if len(ns) != 1:
         raise argparse.ArgumentTypeError(f"{args.command} takes a single --n")
@@ -143,8 +144,8 @@ def _session(args, workers: list[int]):
     if args.seed < 0:
         raise argparse.ArgumentTypeError("--seed must be >= 0")
     cfg = _targeting_config(args)
-    mode, frac, custom = _resolve_delta(args.delta, ns[0])
-    problem = _build_problem(args, ns[0], frac)
+    mode = _resolve_delta(args.delta)
+    problem = _build_problem(args, ns[0], delta_fraction(mode, ns[0]))
     workers = _cap_workers(workers)
     n = problem.base.n
     bad = [p for p in workers if not 1 <= p <= n]
@@ -152,7 +153,7 @@ def _session(args, workers: list[int]):
         raise argparse.ArgumentTypeError(f"worker counts out of range [1, {n}]: {bad}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return problem, mode, custom, cfg, workers, out
+    return problem, mode, cfg, workers, out
 
 
 RESULTS_HEADER = "P,time_ns,speedup_meas,eff_meas,speedup_pred,eff_pred,bound"
@@ -165,7 +166,7 @@ def cmd_run(args) -> int:
     executor = BsfExecutor(
         _BACKENDS[args.backend],
         sim_latency_ns=DEFAULT_LATENCY_NS if args.latency_ns is None else args.latency_ns)
-    problem, mode, custom, cfg, workers, out = _session(
+    problem, mode, cfg, workers, out = _session(
         args, _parse_ints(args.workers, "worker"))
     n = problem.base.n
     quest = pseudo_project(problem, np.zeros(n), cfg.quest, clock=problem.clock)
@@ -179,7 +180,7 @@ def cmd_run(args) -> int:
 
     base_p = min(workers)
     base = runs[base_p].metrics
-    model = calibrate([(n, base)], delta_mode=mode, custom_delta=custom)
+    model = calibrate([(n, base)], delta_mode=mode)
     pred = predict_curves(model, workers)
     measured = [runs[p].metrics for p in workers]
     speed = [base_p * base.iter_ns / m.iter_ns for m in measured]
@@ -209,7 +210,7 @@ def cmd_track(args) -> int:
     if args.start == "near-opt" and args.problem_file:
         raise argparse.ArgumentTypeError(
             "--start near-opt needs the synthetic family (no --problem-file)")
-    problem, _, _, cfg, (p,), out = _session(args, [args.workers])
+    problem, _, cfg, (p,), out = _session(args, [args.workers])
     n = problem.base.n
     gap_mode = args.oracle_gap
     oracle_gap = gap_mode == "on" or (gap_mode == "auto" and n <= 12 and problem.base.m <= 100)
@@ -244,18 +245,17 @@ def cmd_predict(args) -> int:
     workers = _parse_ints(args.workers, "worker")
     if min(workers) < 1:
         raise argparse.ArgumentTypeError(f"worker counts must be >= 1: {workers}")
-    mode, _, custom = _resolve_delta(args.delta, ns[0])
+    mode = _resolve_delta(args.delta)
 
     if args.metrics:
         # the same model ``run`` wrote: calibrated at the smallest P, with its measured L
         base = min(metrics_from_csv(args.metrics), key=lambda m: m.p_workers)
         model = calibrate([(args.metrics_n or ns[0], base)], delta_mode=mode,
-                          custom_delta=custom, latency_ns=args.latency_ns)
+                          latency_ns=args.latency_ns)
     else:
         latency = DEFAULT_LATENCY_NS if args.latency_ns is None else args.latency_ns
-        model = ScenarioModel(n=ns[0], delta_mode=mode, custom_delta=custom,
-                              c_s=args.cs, c_w=args.cw, c_r=args.cr, c_p=args.cp,
-                              latency_ns=latency)
+        model = ScenarioModel(n=ns[0], delta_mode=mode, c_s=args.cs, c_w=args.cw,
+                              c_r=args.cr, c_p=args.cp, latency_ns=latency)
     curves = [(n, predict_curves(replace(model, n=n), workers)) for n in ns]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

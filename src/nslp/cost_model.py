@@ -10,8 +10,6 @@ from typing import Iterable, NamedTuple
 
 from .bsf import DEFAULT_LATENCY_NS, RunMetrics
 
-DELTA_MODES = ("full", "one-row", "custom")
-
 
 @dataclass(frozen=True)
 class CostParams:
@@ -65,14 +63,26 @@ def efficiency(p: CostParams) -> float:
     return 1.0 / (1.0 + overhead / p.t_w_ns)
 
 
+def delta_fraction(mode: str | float, n: int) -> float:
+    """The fraction of data entries that change regime ``mode`` changes per
+    time unit at dimension n: 1.0 for ``"full"``, 1/(2(n+1)) for
+    ``"one-row"``, and a fraction in [0, 1] itself."""
+    if mode == "full":
+        return 1.0
+    if mode == "one-row":
+        return 1.0 / (2.0 * (n + 1))
+    return float(mode)
+
+
 @dataclass(frozen=True)
 class ScenarioModel:
     """Cost scenario for dimension n: asymptotic complexity shapes made
-    concrete with calibration constants (ns per unit of each shape)."""
+    concrete with calibration constants (ns per unit of each shape). The
+    change regime ``delta_mode`` takes what ``--delta`` takes: ``"full"``,
+    ``"one-row"`` or a fraction in [0, 1] (see ``delta_fraction``)."""
 
     n: int
-    delta_mode: str = "one-row"
-    custom_delta: float | None = None
+    delta_mode: str | float = "one-row"
     c_s: float = 1.0
     c_w: float = 1.0
     c_r: float = 1.0
@@ -82,28 +92,16 @@ class ScenarioModel:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
-        if self.delta_mode not in DELTA_MODES:
-            raise ValueError(f"delta_mode must be one of {DELTA_MODES}")
-        if (self.delta_mode == "custom") != (self.custom_delta is not None):
-            raise ValueError("custom_delta is given exactly when delta_mode is custom")
-        if self.custom_delta is not None and not 0.0 <= self.custom_delta <= 1.0:
-            raise ValueError("custom_delta must lie in [0, 1]")
+        mode = self.delta_mode
+        fraction = isinstance(mode, (int, float)) and not isinstance(mode, bool)
+        if mode not in ("full", "one-row") and not (fraction and 0.0 <= mode <= 1.0):
+            raise ValueError(f"delta_mode must be full, one-row or a fraction in [0, 1], "
+                             f"got {mode!r}")
         for name in ("c_s", "c_w", "c_r", "c_p"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.latency_ns < math.inf:
             raise ValueError("latency_ns must be finite and nonnegative")
-
-    def delta(self) -> float:
-        if self.delta_mode == "full":
-            return 1.0
-        if self.delta_mode == "one-row":
-            return 1.0 / (2.0 * (self.n + 1))
-        return float(self.custom_delta)
-
-
-def delta_fraction(mode: str, n: int, custom: float | None = None) -> float:
-    return ScenarioModel(n=n, delta_mode=mode, custom_delta=custom).delta()
 
 
 class CostShapes(NamedTuple):
@@ -133,7 +131,7 @@ def cost_shapes(n: int, delta: float) -> CostShapes:
 def scenario_params(model: ScenarioModel, p_workers: int) -> CostParams:
     """Instantiate the per-iteration cost shapes (``cost_shapes``) at the
     model's dimension."""
-    shape = cost_shapes(model.n, model.delta())
+    shape = cost_shapes(model.n, delta_fraction(model.delta_mode, model.n))
     return CostParams(
         p_workers=p_workers,
         latency_ns=model.latency_ns,
@@ -144,8 +142,8 @@ def scenario_params(model: ScenarioModel, p_workers: int) -> CostParams:
     )
 
 
-def calibrate(measurements: Iterable[tuple[int, RunMetrics]], delta_mode: str = "one-row",
-              custom_delta: float | None = None, latency_ns: float | None = None) -> ScenarioModel:
+def calibrate(measurements: Iterable[tuple[int, RunMetrics]], delta_mode: str | float = "one-row",
+              latency_ns: float | None = None) -> ScenarioModel:
     """Fit the calibration constants from measured metrics by per-component
     least squares through the origin. One measurement gives an exact fit at
     that dimension; several trade error across dimensions.
@@ -153,7 +151,7 @@ def calibrate(measurements: Iterable[tuple[int, RunMetrics]], delta_mode: str = 
     pts = list(measurements)
     if not pts:
         raise ValueError("need at least one measurement")
-    shapes = [(cost_shapes(n, delta_fraction(delta_mode, n, custom_delta)), m) for n, m in pts]
+    shapes = [(cost_shapes(n, delta_fraction(delta_mode, n)), m) for n, m in pts]
 
     def fit(name: str) -> float:
         num = sum(getattr(shape, name) * getattr(m, name + "_ns") for shape, m in shapes)
@@ -163,8 +161,8 @@ def calibrate(measurements: Iterable[tuple[int, RunMetrics]], delta_mode: str = 
     c_s, c_w, c_r, c_p = (fit(name) for name in CostShapes._fields)
     if latency_ns is None:
         latency_ns = sum(m.latency_ns for _, m in pts) / len(pts)
-    return ScenarioModel(n=pts[-1][0], delta_mode=delta_mode, custom_delta=custom_delta,
-                         c_s=c_s, c_w=c_w, c_r=c_r, c_p=c_p, latency_ns=latency_ns)
+    return ScenarioModel(n=pts[-1][0], delta_mode=delta_mode, c_s=c_s, c_w=c_w, c_r=c_r,
+                         c_p=c_p, latency_ns=latency_ns)
 
 
 class CurveRow(NamedTuple):

@@ -338,7 +338,6 @@ class TargetingWorkload:
         self._worker_lp = None
         self._partition: list[list[int]] | None = None
         self.rows: list[TraceRow] = []
-        self.done = 0
         self.requests = 0
 
     @property
@@ -386,16 +385,15 @@ class TargetingWorkload:
         gap = math.nan
         if self.cfg.oracle_gap:
             gap = self._optimum() - objective_value(lp, center)
-        self.rows.append(TraceRow(self.done, prev_clock, center,
+        self.rows.append(TraceRow(len(self.rows), prev_clock, center,
                                   objective_value(lp, center),
                                   max_violation(lp, center), state.moved, gap,
                                   state.last_q_size))
         self.state = state
-        self.done += 1
         self.lp = next_lp
 
     def exit_check(self) -> bool:
-        return self.done >= self.iterations
+        return len(self.rows) >= self.iterations
 
     def finalize(self) -> TrackingTrace:
         return TrackingTrace(rows=self.rows, requests=self.requests)

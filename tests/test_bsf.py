@@ -347,6 +347,16 @@ def test_metrics_csv_round_trips_its_seven_fields(tmp_path):
         metrics_from_csv(tmp_path / "empty.csv")
 
 
+def test_metrics_csv_skips_blank_lines_and_names_a_short_row(tmp_path):
+    row = RunMetrics(1, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0).csv_row()
+    path = tmp_path / "metrics.csv"
+    path.write_text(f"{RunMetrics.CSV_HEADER}\n{row}\n\n{row}\n\n")
+    assert [m.p_workers for m in metrics_from_csv(path)] == [1, 1]
+    path.write_text(f"{RunMetrics.CSV_HEADER}\n{row}\n\n1,2,3\n")
+    with pytest.raises(ValueError, match="metrics line 4 has 3 fields, expected 7"):
+        metrics_from_csv(path)
+
+
 def test_worker_failure_aborts_with_diagnostic():
     with pytest.raises(BsfWorkerError, match="synthetic worker fault"):
         BsfExecutor("worker-pool", 2, latency_rounds=10).run(FailingWorkload())
@@ -549,6 +559,70 @@ def test_fork_server_runs_the_driver_top_level_for_every_worker(two_pool_runs):
 def test_pool_workers_run_one_blas_thread(two_pool_runs):
     # byte-identical traces rely on single-threaded reductions in the workers
     assert {blas for run in two_pool_runs for _, blas in run["workers"]} == {"1"}
+
+
+@pytest.mark.parametrize("kill", [False, True], ids=["one-server", "restarted-server"])
+def test_pool_runs_leave_the_drivers_environment_as_it_was(tmp_path, kill):
+    # the fork server gets one BLAS thread and this nslp on PYTHONPATH only
+    # while it may start, which includes the restart the second pool's first
+    # Process.start() makes after the server was killed; the driver, started
+    # without those four variables, finds nslp through its own sys.path
+    script = tmp_path / "driver.py"
+    script.write_text(textwrap.dedent("""\
+        import json, os, signal, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from nslp import BsfExecutor, Order, SparseDelta
+
+        class BlasSetup:
+            def init_state(self, worker_id, cohorts):
+                return None
+
+            def process_order(self, state, order):
+                return None, (os.environ.get("OPENBLAS_NUM_THREADS"),)
+
+        class BlasWorkload:
+            cohort_count = 2
+
+            def init(self, p_workers, partition):
+                return BlasSetup()
+
+            def make_order(self):
+                return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
+
+            def merge_results(self, results):
+                return [b for r in results for b in r.bests]
+
+            def evaluate(self, merged):
+                self.seen = merged
+
+            def exit_check(self):
+                return True
+
+            def finalize(self):
+                return self.seen
+
+        if __name__ == "__main__":
+            before, blas = dict(os.environ), []
+            for _ in range(2):
+                seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(BlasWorkload())
+                blas += seen
+                if sys.argv[2] == "True":
+                    from multiprocessing.forkserver import _forkserver
+                    os.kill(_forkserver._forkserver_pid, signal.SIGKILL)
+                    # wait for its exit but leave the reaping to the restart
+                    os.waitid(os.P_PID, _forkserver._forkserver_pid, os.WEXITED | os.WNOWAIT)
+            print(json.dumps({"before": before, "after": dict(os.environ), "blas": blas}))
+        """))
+    env = {k: v for k, v in os.environ.items() if k not in (*_BLAS_VARS, "PYTHONPATH")}
+    src = str(Path(nslp.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(script), src, str(kill)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout)
+    assert run["after"] == run["before"]
+    assert not set(run["before"]) & {*_BLAS_VARS, "PYTHONPATH"}
+    assert run["blas"] == ["1"] * 4
 
 
 def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):

@@ -394,6 +394,17 @@ def test_thread_cap_dropping_every_worker_count_is_usage_error(command, tmp_path
     assert not (tmp_path / "capped").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_non_integer_thread_cap_is_usage_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NSLP_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "6", "--iters", "2", "--workers", "1",
+              "--backend", "sim", "--out", str(tmp_path / "capped")])
+    assert exc.value.code == 2
+    assert "NSLP_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "capped").exists()
+
+
 def test_parser_lists_required_flags():
     parser = build_parser()
     text = parser.format_help()

@@ -92,7 +92,20 @@ def test_bound_zero_denominator():
 def test_delta_fraction():
     assert delta_fraction("full", 100) == 1.0
     assert delta_fraction("one-row", 100) == 1.0 / 202.0
-    assert delta_fraction("custom", 100, 0.25) == 0.25
+    assert delta_fraction(0.25, 100) == 0.25
+    assert delta_fraction(1.0, 100) == delta_fraction("full", 100)
+
+
+def test_a_fraction_regime_predicts_what_the_custom_mode_did():
+    # pinned from the two-field model, delta_mode="custom" with custom_delta=0.25
+    model = ScenarioModel(n=50, delta_mode=0.25, latency_ns=1e4)
+    assert scenario_params(model, 2) == CostParams(
+        p_workers=2, latency_ns=1e4, t_s_ns=701.25, t_r_ns=50.0, t_p_ns=2500.0,
+        t_w_ns=127550.0)
+    assert predict_curves(model, [1, 2, 4]) == [
+        (1, 1.0, 0.8458152700988885, 2.4822295783689077),
+        (2, 1.3998398737555406, 0.5920029704578682, 2.4822295783689077),
+        (4, 1.28623366100177, 0.2719790178476235, 2.4822295783689077)]
 
 
 def test_scenario_params_shapes():
@@ -219,12 +232,10 @@ def test_scenario_model_validation():
         ScenarioModel(n=10, c_s=0.0)
 
 
-@pytest.mark.parametrize("mode, custom", [
-    ("custom", 2.0), ("custom", -5.0), ("custom", float("nan")), ("custom", float("inf")),
-    ("full", 0.5), ("one-row", 0.0)])
-def test_scenario_model_rejects_a_bad_custom_delta(mode, custom):
-    with pytest.raises(ValueError, match="custom_delta"):
-        ScenarioModel(n=10, delta_mode=mode, custom_delta=custom)
+@pytest.mark.parametrize("mode", [2.0, -5.0, float("nan"), float("inf"), True, "custom"])
+def test_scenario_model_rejects_a_bad_delta_mode(mode):
+    with pytest.raises(ValueError, match="delta_mode"):
+        ScenarioModel(n=10, delta_mode=mode)
 
 
 @pytest.mark.parametrize("field, bad", [
