@@ -7,9 +7,10 @@ frame reaches the workers and their results come back, and must produce
 identical outputs: ``sequential-sim`` runs everything in-process with a
 deterministic synthetic clock (the latency ``sim_latency_ns`` plus fixed
 charges), ``worker-pool`` runs workers in processes forked from a fork
-server that has numpy and nslp preloaded, and the top level of a driver
-script that imports nothing else already run (so it needs a POSIX start
-method), connected by pipes, and reports measured timings.
+server that has numpy, nslp and ``multiprocessing.popen_forkserver`` (the
+module that unpickles a worker's pipe ends) preloaded, and the top level
+of a driver script that imports nothing else already run (so it needs a
+POSIX start method), connected by pipes, and reports measured timings.
 ``BsfExecutor(backend, p_workers).run(workload)`` is the farm's only entry
 point.
 
@@ -347,11 +348,14 @@ def _pool_context():
     """The start method of every pool in this process: one fork server,
     started at the first pool (which pays the server's start, about 0.3 s
     for a fresh interpreter importing numpy and nslp), that forks each
-    worker with numpy and nslp already loaded. When the driver is a script
-    (not ``python -m``) whose top level binds only standard-library, numpy
-    and nslp modules (``_server_may_run_main``), the server also runs that
-    top level once, as ``__mp_main__`` with the master's ``sys.argv`` and
-    ``sys.path``, and the workers it forks find it done. Any other driver,
+    worker with numpy, nslp and ``multiprocessing.popen_forkserver`` already
+    loaded (a worker's pipe ends arrive pickled as that module's ``_DupFd``,
+    so without it every worker would import it before its first order).
+    When the driver is a script (not ``python -m``) whose top level binds
+    only standard-library, numpy and nslp modules (``_server_may_run_main``),
+    the server also runs that top level once, as ``__mp_main__`` with the
+    master's ``sys.argv`` and ``sys.path``, and the workers it forks find it
+    done. Any other driver,
     or one whose top level raises in the server (a driver without a
     ``__main__`` guard starts a pool there, which multiprocessing refuses),
     is run again by each worker as it starts. Either way the top level runs
@@ -373,7 +377,8 @@ def _pool_context():
             [main_path, data["sys_argv"], data["sys_path"]], default=os.fspath)
     else:
         os.environ.pop(_SERVER_MAIN_VAR, None)
-    ctx.set_forkserver_preload(["numpy", "nslp", "nslp._server_main"])
+    ctx.set_forkserver_preload(
+        ["numpy", "nslp", "multiprocessing.popen_forkserver", "nslp._server_main"])
     # priority < 0 runs after multiprocessing has joined the live children
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     try:

@@ -90,7 +90,9 @@ def _resolve_delta(text: str) -> str | float:
     return val
 
 
-def _build_problem(args, n: int, delta: float) -> NonStationaryLP:
+def _build_problem(args, n: int, mode: str | float) -> NonStationaryLP:
+    """The drifting problem; a random drift changes the fraction ``mode``
+    names at the base problem's own dimension (a file's, not ``--n``)."""
     if args.problem_file:
         base = read_problem(args.problem_file)
     else:
@@ -101,7 +103,7 @@ def _build_problem(args, n: int, delta: float) -> NonStationaryLP:
         v = np.full(base.n, args.drift_magnitude / math.sqrt(base.n))
         drift = DriftSpec(kind="translate", translate_vector=v, seed=args.seed)
     else:
-        drift = DriftSpec(kind="random-sparse", delta=delta,
+        drift = DriftSpec(kind="random-sparse", delta=delta_fraction(mode, base.n),
                           magnitude=args.drift_magnitude, seed=args.seed)
     return NonStationaryLP(base=base, drift=drift)
 
@@ -145,7 +147,7 @@ def _session(args, workers: list[int]):
         raise argparse.ArgumentTypeError("--seed must be >= 0")
     cfg = _targeting_config(args)
     mode = _resolve_delta(args.delta)
-    problem = _build_problem(args, ns[0], delta_fraction(mode, ns[0]))
+    problem = _build_problem(args, ns[0], mode)
     workers = _cap_workers(workers)
     n = problem.base.n
     bad = [p for p in workers if not 1 <= p <= n]
@@ -245,12 +247,18 @@ def cmd_predict(args) -> int:
     workers = _parse_ints(args.workers, "worker")
     if min(workers) < 1:
         raise argparse.ArgumentTypeError(f"worker counts must be >= 1: {workers}")
+    if args.metrics_n is not None:
+        if not args.metrics:
+            raise argparse.ArgumentTypeError("--metrics-n needs --metrics")
+        if args.metrics_n < 2:
+            raise argparse.ArgumentTypeError(f"--metrics-n must be >= 2, got {args.metrics_n}")
     mode = _resolve_delta(args.delta)
 
     if args.metrics:
         # the same model ``run`` wrote: calibrated at the smallest P, with its measured L
         base = min(metrics_from_csv(args.metrics), key=lambda m: m.p_workers)
-        model = calibrate([(args.metrics_n or ns[0], base)], delta_mode=mode,
+        metrics_n = ns[0] if args.metrics_n is None else args.metrics_n
+        model = calibrate([(metrics_n, base)], delta_mode=mode,
                           latency_ns=args.latency_ns)
     else:
         latency = DEFAULT_LATENCY_NS if args.latency_ns is None else args.latency_ns

@@ -483,8 +483,8 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def two_pool_runs(tmp_path_factory):
     """A driver, started without the BLAS variables, makes two pool runs.
     Per run: the driver's pid, each worker's (parent pid,
-    OPENBLAS_NUM_THREADS) and the pids of the processes that have run the
-    driver's top level so far."""
+    OPENBLAS_NUM_THREADS, modules it imported itself) and the pids of the
+    processes that have run the driver's top level so far."""
     probe = tmp_path_factory.mktemp("probe")
     script = probe / "driver.py"
     script.write_text(textwrap.dedent("""\
@@ -495,12 +495,22 @@ def two_pool_runs(tmp_path_factory):
         with open(sys.argv[1], "a") as fh:
             fh.write(f"{os.getpid()}\\n")
 
+        # the fork server runs this top level, so every worker inherits the hook
+        imported = []
+
+        def record_import(event, args):
+            if event == "import":
+                imported.append((os.getpid(), args[0]))
+
+        sys.addaudithook(record_import)
+
         class ProbeSetup:
             def init_state(self, worker_id, cohorts):
                 return None
 
             def process_order(self, state, order):
-                return None, (os.getppid(), os.environ.get("OPENBLAS_NUM_THREADS"))
+                mine = [name for pid, name in imported if pid == os.getpid()]
+                return None, (os.getppid(), os.environ.get("OPENBLAS_NUM_THREADS"), mine)
 
         class ProbeWorkload:
             cohort_count = 2
@@ -540,7 +550,7 @@ def two_pool_runs(tmp_path_factory):
 
 def test_one_fork_server_per_process_is_gone_at_exit(two_pool_runs):
     assert len(two_pool_runs) == 2
-    servers = {ppid for run in two_pool_runs for ppid, _ in run["workers"]}
+    servers = {ppid for run in two_pool_runs for ppid, *_ in run["workers"]}
     assert len(servers) == 1, two_pool_runs
     (server,) = servers
     assert server != two_pool_runs[0]["master"]
@@ -552,13 +562,20 @@ def test_one_fork_server_per_process_is_gone_at_exit(two_pool_runs):
 def test_fork_server_runs_the_driver_top_level_for_every_worker(two_pool_runs):
     # the master and the server run it; the four workers forked from the
     # server find it done, and ProbeSetup, defined there, still unpickles
-    (server,) = {ppid for run in two_pool_runs for ppid, _ in run["workers"]}
+    (server,) = {ppid for run in two_pool_runs for ppid, *_ in run["workers"]}
     assert sorted(two_pool_runs[-1]["top_level"]) == sorted([two_pool_runs[0]["master"], server])
 
 
 def test_pool_workers_run_one_blas_thread(two_pool_runs):
     # byte-identical traces rely on single-threaded reductions in the workers
-    assert {blas for run in two_pool_runs for _, blas in run["workers"]} == {"1"}
+    assert {blas for run in two_pool_runs for _, blas, _ in run["workers"]} == {"1"}
+
+
+def test_pool_workers_import_nothing_before_their_first_order(two_pool_runs):
+    # the server preloads what unpickling a worker's process object needs
+    # (its pipe ends arrive as multiprocessing.popen_forkserver._DupFd), and
+    # it ignores an ImportError in a preload, so only this sees a wrong name
+    assert [mods for run in two_pool_runs for *_, mods in run["workers"]] == [[]] * 4
 
 
 @pytest.mark.parametrize("kill", [False, True], ids=["one-server", "restarted-server"])

@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from nslp import model_n, write_problem
+from nslp import model_n, pseudo_project, write_problem
 from nslp.cli import RESULTS_HEADER, build_parser, main
+from nslp.cost_model import delta_fraction
 
 
 def _run(argv) -> int:
@@ -279,6 +280,20 @@ def test_bad_worker_counts_are_usage_errors_that_create_nothing(tmp_path, capsys
     assert not (tmp_path / "q1").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--metrics", "m.csv", "--metrics-n", "0"], "--metrics-n must be >= 2"),
+    (["--metrics", "m.csv", "--metrics-n", "-3"], "--metrics-n must be >= 2"),
+    (["--metrics-n", "8"], "--metrics-n needs --metrics"),
+], ids=["zero", "negative", "without-metrics"])
+def test_predict_bad_metrics_n_is_a_usage_error_that_creates_nothing(tmp_path, capsys,
+                                                                     extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--n", "50", "--workers", "1,2", *extra, "--out", str(tmp_path / "q")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
+
+
 def test_predict_checks_every_dimension_before_writing(tmp_path, capsys):
     assert main(["predict", "--n", "50,1", "--workers", "1,2",
                  "--out", str(tmp_path / "q2")]) == 1
@@ -368,6 +383,24 @@ def test_problem_file_flag(tmp_path):
                  "--spacing", "0.5", "--k", "2", "--backend", "sim",
                  "--out", str(out)]) == 0
     assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_one_row_drift_is_one_row_of_the_problem_file(tmp_path, monkeypatch, command):
+    # the fraction is taken at the file's n=4, not at --n
+    path = tmp_path / "prob.txt"
+    write_problem(model_n(4), path)
+    problems = []
+
+    def project(problem, *args, **kw):
+        problems.append(problem)
+        return pseudo_project(problem, *args, **kw)
+
+    monkeypatch.setattr("nslp.cli.pseudo_project", project)
+    assert main([command, "--n", "9", "--iters", "2", "--workers", "1", "--backend", "sim",
+                 "--problem-file", str(path), "--drift", "random", "--delta", "one-row",
+                 "--drift-magnitude", "0.01", "--out", str(tmp_path / "out")]) == 0
+    assert [p.drift.delta for p in problems] == [delta_fraction("one-row", 4)] == [0.1]
 
 
 def test_thread_cap_env(tmp_path, monkeypatch, capsys):
