@@ -51,9 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import DenseLP, SparseDelta, _readonly, delta_between
+from .lp import EMPTY_DELTA, DenseLP, SparseDelta, _readonly, delta_between
 
 _PAIR = np.dtype([("i", "<u4"), ("v", "<f8")])
+_U32, _U64, _F64 = np.dtype("<u4"), np.dtype("<u8"), np.dtype("<f8")
 
 ORDER_FRAME = b"O"
 PING_FRAME = b"P"
@@ -67,7 +68,10 @@ class BsfWorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class Order:
-    """Master-to-worker message: the new cross center plus sparse data deltas."""
+    """Master-to-worker message: the new cross center plus sparse data deltas.
+
+    Like ``DenseLP``, it keeps a contiguous float64 ``theta`` as given, not
+    a copy, and makes it read-only."""
 
     theta: np.ndarray
     delta: SparseDelta
@@ -182,22 +186,31 @@ def order_to_bytes(order: Order) -> bytes:
 
 
 def order_from_bytes(buf: bytes) -> Order:
-    (n,) = struct.unpack_from("<I", buf, 0)
-    off = 4
-    theta = np.frombuffer(buf, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    (clock,) = struct.unpack_from("<Q", buf, off)
-    off += 8
-    sections = []
-    for _ in range(3):
-        (count,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        rec = np.frombuffer(buf, dtype=_PAIR, count=count, offset=off)
-        off += count * _PAIR.itemsize
-        sections += [rec["i"].astype(np.int64), rec["v"].astype(np.float64)]
+    """The order a frame carries. A frame cut short anywhere, or with bytes
+    past its last section, raises ValueError. A frame whose three sections
+    are empty decodes to the shared ``EMPTY_DELTA``."""
+    off = 0
+
+    def take(dtype: np.dtype, count: int) -> np.ndarray:
+        nonlocal off
+        end = off + dtype.itemsize * count
+        if end > len(buf):
+            raise ValueError(f"order frame is truncated: {len(buf)} bytes, "
+                             f"needs at least {end}")
+        got = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
+        off = end
+        return got
+
+    n = int(take(_U32, 1)[0])
+    theta = take(_F64, n).copy()
+    clock = int(take(_U64, 1)[0])
+    recs = [take(_PAIR, int(take(_U32, 1)[0])) for _ in range(3)]
     if off != len(buf):
         raise ValueError("trailing bytes in order frame")
-    return Order(theta=theta, delta=SparseDelta(*sections), clock=int(clock))
+    if not any(len(rec) for rec in recs):
+        return Order(theta=theta, delta=EMPTY_DELTA, clock=clock)
+    sections = [a for r in recs for a in (r["i"].astype(np.int64), r["v"].astype(np.float64))]
+    return Order(theta=theta, delta=SparseDelta(*sections), clock=clock)
 
 
 # --- partitioning -----------------------------------------------------------

@@ -14,6 +14,9 @@ from .lp import _readonly
 
 @dataclass(frozen=True)
 class Cross:
+    """Like ``DenseLP``, it keeps a contiguous float64 ``center`` as given,
+    not a copy, and makes it read-only."""
+
     center: np.ndarray
     spacing: float
     points_per_cohort: int
@@ -63,8 +66,13 @@ def point_of(cross: Cross, m: Marker) -> np.ndarray:
         raise ValueError(f"cohort {chi} out of range for dimension {n}")
     if eta == 0 or abs(eta) > k // 2:
         raise ValueError(f"offset {eta} out of range for K={k}")
+    return _point(cross, m)
+
+
+def _point(cross: Cross, m: Marker) -> np.ndarray:
+    """``point_of`` for a marker known to be in range on this cross."""
     p = cross.center.copy()
-    p[chi] += eta * cross.spacing
+    p[m.cohort] += m.offset * cross.spacing
     return p
 
 

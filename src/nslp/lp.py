@@ -25,7 +25,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenseLP:
-    """A dense maximization LP: max <c, x> subject to A x <= b, x >= 0."""
+    """A dense maximization LP: max <c, x> subject to A x <= b, x >= 0.
+
+    It takes the arrays it is given and makes them read-only: a contiguous
+    float64 array is kept, not copied, and any other is converted once. A
+    caller must not write to a kept array through another view. Code that
+    caches what it read from an ``A`` object, such as the worker's screen
+    plan, relies on this."""
 
     A: np.ndarray
     b: np.ndarray
@@ -142,7 +148,9 @@ class SparseDelta:
 
     Three sections of parallel (index, value) arrays, one each for A, b
     and c; values are the *new* entries. An A index is the row-major flat
-    position ``row * n + col``, the number an order frame carries.
+    position ``row * n + col``, the number an order frame carries. Like
+    ``DenseLP``, it keeps the arrays it is given when they already have the
+    right dtype and layout, and makes them read-only.
     """
 
     a_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))

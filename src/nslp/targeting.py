@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bsf import Order, RunMetrics, WorkerResult, make_order
-from .cross import Cross, _cohort_markers, point_of, recenter
+from .cross import Cross, _cohort_markers, _offsets, recenter
+from .cross import _point as point_of  # in-range builds, counted under this name
 from .lp import (DenseLP, NonStationaryLP, advance, apply_delta, max_violation,
                  objective_value, snapshot)
 from .quest import FejerConfig, pseudo_project
@@ -61,32 +62,63 @@ _INFEASIBLE, _FEASIBLE, _UNSURE = 0, 1, 2
 
 
 class _ScreenPlan:
-    """What ``_screen`` needs that depends only on which entries of ``A``
-    are zero: the index of the cohort columns' nonzeros, and reusable
-    buffers for their per-call values.
+    """What ``process_cohorts`` and ``_screen`` need that does not change
+    between calls, kept for the last cohort list and the last ``A`` seen.
+    A worker keeps one plan across orders.
 
-    ``fit`` compares the zero mask of ``A`` and the cohorts with the ones the
-    plan was built from and rebuilds the plan when either differs, so a
-    stale index is never used; while they hold, a call only refills the
-    buffers. A worker keeps one plan across orders."""
+    ``layout`` keeps what depends only on the cohort list, K, the spacing
+    and the dimension: the sorted cohorts, range-checked when they are laid
+    out, their marker lists, the offsets, the steps and the tie order. It
+    lays them out again whenever any of the four differs from the last call.
+
+    ``fit`` keeps what depends on the cohort columns and ``A``: the index of
+    those columns' nonzeros, the rows they touch and ``|A[rows]|``. Handed
+    the same ``A`` object and columns again, it does nothing. That is safe
+    because ``DenseLP`` makes its arrays read-only, so the object still holds
+    the values the plan read, and the plan's own reference keeps the object
+    from being freed and its address reused. For any other ``A`` object it
+    compares the zero mask and the columns with the kept ones and rebuilds
+    the index when either differs, so a stale index is never used; then it
+    refills ``|A[rows]|`` in place."""
 
     def __init__(self):
-        self.cols = self.zero = None
+        self.key = self.A = self.index_cols = self.zero = None
+
+    def layout(self, cross: Cross, cohorts) -> _ScreenPlan:
+        key = (tuple(cohorts), cross.points_per_cohort, cross.spacing, cross.dimension)
+        if key == self.key:
+            return self
+        chis = sorted(int(c) for c in key[0])
+        if chis and not 0 <= chis[0] <= chis[-1] < cross.dimension:
+            chi = chis[0] if chis[0] < 0 else chis[-1]
+            raise ValueError(f"cohort {chi} out of range for dimension {cross.dimension}")
+        k = cross.points_per_cohort
+        self.chis, self.cols = chis, np.array(chis, dtype=np.intp)
+        self.markers = [_cohort_markers(k, chi) for chi in chis]
+        self.offsets = offsets = _offsets(k)
+        self.steps = np.array(offsets) * cross.spacing
+        self.tie_order = sorted(range(k), key=lambda i: (abs(offsets[i]), offsets[i] > 0))
+        self.key = key
+        return self
 
     def fit(self, A: np.ndarray, cols: np.ndarray) -> _ScreenPlan:
-        zero = A == 0.0
-        if (self.zero is not None and np.array_equal(cols, self.cols)
-                and np.array_equal(zero, self.zero)):
+        same_cols = np.array_equal(cols, self.index_cols)
+        if A is self.A and same_cols:
             return self
-        coh, ri = np.nonzero(~zero.T[cols])  # the nonzeros by cohort, then row
-        counts = np.bincount(coh, minlength=len(cols))
-        self.cols, self.zero, self.ri = cols.copy(), zero, ri
-        self.pos = ri * A.shape[1] + cols[coh]  # flat A positions
-        self.nonempty = counts > 0
-        self.starts = (np.cumsum(counts) - counts)[self.nonempty]  # reduceat starts
-        self.rows = np.flatnonzero(~zero[:, cols].all(axis=1))  # the rows they touch
-        self.a, self.x = np.empty(len(ri)), np.empty((4, len(ri)))
-        self.mag = np.empty((len(self.rows), A.shape[1]))  # |A[rows]|
+        zero = A == 0.0
+        if not (same_cols and np.array_equal(zero, self.zero)):
+            coh, ri = np.nonzero(~zero.T[cols])  # the nonzeros by cohort, then row
+            counts = np.bincount(coh, minlength=len(cols))
+            self.index_cols, self.zero, self.ri = cols.copy(), zero, ri
+            self.pos = ri * A.shape[1] + cols[coh]  # flat A positions
+            self.nonempty = counts > 0
+            self.starts = (np.cumsum(counts) - counts)[self.nonempty]  # reduceat starts
+            self.rows = np.flatnonzero(~zero[:, cols].all(axis=1))  # the rows they touch
+            self.a, self.x = np.empty(len(ri)), np.empty((4, len(ri)))
+            self.mag = np.empty((len(self.rows), A.shape[1]))  # |A[rows]|
+        self.A = A
+        # the plan's indices are in range: "clip" only skips take's buffered check
+        np.abs(A.take(self.rows, axis=0, out=self.mag, mode="clip"), out=self.mag)
         return self
 
 
@@ -124,9 +156,11 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
     that is not _INFEASIBLE a candidate. When ``r0`` or a coordinate is not
     finite, every point is _UNSURE and a candidate.
 
-    The nonzero index comes from ``plan`` fitted to this ``A``, or from one
-    built for this call. Values are read from ``A`` on every call, so the
-    result does not depend on the plan's age. The returned arrays are new."""
+    The nonzero index and ``|A[rows]|`` come from ``plan`` fitted to this
+    ``A`` object, or from one built for this call; the nonzero values are
+    read from ``A`` on every call. A fitted plan matches its ``A`` object
+    for as long as the plan holds it (see ``_ScreenPlan``), so the result
+    does not depend on the plan's age. The returned arrays are new."""
     A, center = lp.A, cross.center
     cols = np.asarray(cohorts, dtype=np.intp)
     r0 = A @ center - lp.b
@@ -142,14 +176,12 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
     ok = ((np.count_nonzero(negative) - negative[cols]) == 0)[:, None] & (coords >= 0.0)
     # zero rows: no row over b at the center may be zero in the column
     ok &= ~plan.zero[r0 > 0.0].any(axis=0)[cols, None]
-    # the plan's indices are in range: "clip" only skips take's buffered check
     rows, mag, a, x = plan.rows, plan.mag, plan.a, plan.x
-    np.abs(A.take(rows, axis=0, out=mag, mode="clip"), out=mag)
     f64 = np.finfo(np.float64)
     gamma = 2.0 * (lp.n + 2) * f64.eps
     g = np.zeros_like(r0)
     g[rows] = gamma * (mag @ np.abs(center) + np.abs(lp.b[rows])) + f64.tiny
-    A.take(plan.pos, out=a, mode="clip")
+    A.take(plan.pos, out=a, mode="clip")  # in range, as in ``fit``
     # per nonzero: the sure and not-over ends, upper ones and then minus lower
     # ones; x / a is -(x / |a|) exactly where a < 0
     with np.errstate(over="ignore"):
@@ -192,10 +224,12 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
     verdict of ``max_violation(lp, p) == 0.0`` on every point; for rows
     with a zero in the point's column that relies on BLAS summing a row in
     an order that does not depend on the vector's values. Every point is
-    still built by ``point_of``, once, though only the candidates need it.
+    still built, once, though only the candidates need it: the plan's layout
+    has range-checked the cohorts, so the builds skip ``point_of``'s checks.
 
-    A worker passes the screen plan it keeps across orders (see
-    ``_ScreenPlan``); without one, a plan is built for this call.
+    A worker passes the screen plan it keeps across orders: it lays the
+    cohorts out once per cohort list and reads ``A`` once per LP object (see
+    ``_ScreenPlan``). Without one, a plan is built for this call.
 
     Ties break deterministically: smallest |offset| first, negative before
     positive, so results are independent of how cohorts are partitioned
@@ -203,21 +237,16 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
     """
     if lp.n != cross.dimension:
         raise ValueError(f"problem dimension {lp.n} != cross dimension {cross.dimension}")
-    chis = sorted(int(c) for c in cohorts)
-    if not chis:
+    plan = (plan or _ScreenPlan()).layout(cross, cohorts)
+    if not plan.chis:
         return []
-    if not 0 <= chis[0] <= chis[-1] < cross.dimension:
-        chi = chis[0] if chis[0] < 0 else chis[-1]
-        raise ValueError(f"cohort {chi} out of range for dimension {cross.dimension}")
-    cohort_ms = [_cohort_markers(cross.points_per_cohort, chi) for chi in chis]
-    offsets = [m.offset for m in cohort_ms[0]]
-    steps = np.array(offsets) * cross.spacing
-    verdicts, candidates = (a.tolist() for a in _screen(lp, cross, chis, steps, plan))
-    order = sorted(range(len(offsets)), key=lambda k: (abs(offsets[k]), offsets[k] > 0))
+    offsets = plan.offsets
+    screened = _screen(lp, cross, plan.cols, plan.steps, plan)
+    verdicts, candidates = (a.tolist() for a in screened)
     out = []
-    for chi, ms, verdict, maybe in zip(chis, cohort_ms, verdicts, candidates):
+    for chi, ms, verdict, maybe in zip(plan.chis, plan.markers, verdicts, candidates):
         best_offset, best_value = None, -math.inf
-        for k in order:
+        for k in plan.tie_order:
             p = point_of(cross, ms[k])
             if not maybe[k] or (verdict[k] == _UNSURE and max_violation(lp, p) != 0.0):
                 continue
@@ -304,7 +333,9 @@ class _WorkerState:
 @dataclass(frozen=True)
 class TargetingWorkerSetup:
     """Worker-side half of the workload; picklable, pure in (state, order).
-    The state's screen plan is a cache that every call checks against its LP."""
+    The state's screen plan is a cache that every call checks against its
+    cohorts, cross and LP. An empty delta keeps the LP object, so on a
+    stationary problem the plan reads ``A`` only for the first order."""
 
     lp0: DenseLP
     spacing: float
@@ -326,7 +357,7 @@ class TargetingWorkload:
     def __init__(self, problem: NonStationaryLP, z, cfg: TargetingConfig, iterations: int):
         if iterations < 1:
             raise ValueError("need at least one iteration")
-        z = np.asarray(z, dtype=np.float64)
+        z = np.array(z, dtype=np.float64)  # the cross makes its center read-only
         if z.shape != (problem.base.n,):
             raise ValueError(f"start point has length {z.shape}, expected {problem.base.n}")
         self.problem = problem

@@ -25,6 +25,7 @@ from nslp import (BsfExecutor, BsfWorkerError, Cross, DriftSpec, NonStationaryLP
                   order_to_bytes, process_cohorts, run_targeting, snapshot)
 from nslp.bsf import (RunMetrics, WorkerResult, _Pool, _pool_context, _server_may_run_main,
                       metrics_from_csv, metrics_to_csv)
+from nslp.lp import EMPTY_DELTA
 from nslp.targeting import (CohortBest, TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
 
@@ -148,6 +149,23 @@ def test_order_trailing_bytes_rejected():
     raw = order_to_bytes(Order(theta=np.zeros(2), delta=SparseDelta(), clock=0))
     with pytest.raises(ValueError):
         order_from_bytes(raw + b"\x00")
+
+
+def test_every_cut_of_an_order_frame_is_reported_as_truncated():
+    delta = SparseDelta(a_idx=[5], a_vals=[2.0], b_idx=[1], b_vals=[3.0],
+                        c_idx=[2], c_vals=[-1.0])
+    raw = order_to_bytes(Order(theta=np.array([1.0, 2.0, 3.0]), delta=delta, clock=7))
+    assert order_from_bytes(raw).delta == delta
+    for cut in range(len(raw)):
+        with pytest.raises(ValueError, match="^order frame is truncated"):
+            order_from_bytes(raw[:cut])
+
+
+def test_an_all_empty_order_frame_decodes_to_the_shared_empty_delta():
+    raw = order_to_bytes(Order(theta=np.zeros(3), delta=SparseDelta(), clock=4))
+    back = order_from_bytes(raw)
+    assert back.delta is EMPTY_DELTA
+    assert back.clock == 4 and back.theta.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_order_of_another_dimension_fails_on_the_worker():

@@ -327,6 +327,41 @@ def test_one_plan_follows_a_change_of_cohorts():
                 == _process_cohorts_exact(lp, cross, cohorts))
 
 
+def test_one_plan_reads_every_new_lp_object():
+    # the row sums 2^53-sized terms, so A @ p rounds a move of 2.5 down to 2
+    # and the point is feasible though the rank-1 estimate puts it 0.5 over;
+    # only the guard built from |A| keeps it for the exact check. The second
+    # LP has the first one's zero pattern and a far larger guard, so a plan
+    # that kept the first LP's |A[rows]| would rule offset 5 out.
+    big = 2.0 ** 53
+    cross = Cross(np.array([0.0, big, big]), 0.5, 10)
+    c = np.array([1.0, 0.0, 0.0])
+    lps = [DenseLP(np.array([[1.0, 1e-300, -1e-300]]), np.array([2.0]), c),
+           DenseLP(np.array([[1.0, 1.0, -1.0]]), np.array([2.0]), c),  # same zeros
+           DenseLP(np.array([[1.0, 1.0, 0.0]]), np.array([big + 2.0]), c)]  # other zeros
+    plan = nslp.targeting._ScreenPlan()
+    for lp, best in zip(lps, [4, 5, 5]):
+        got = process_cohorts(lp, cross, [0], plan)
+        assert got == _process_cohorts_exact(lp, cross, [0])
+        assert got[0].offset == best
+
+
+def test_one_plan_follows_crosses_and_cohort_lists_and_rejects_every_bad_call():
+    rng = np.random.default_rng(5)
+    plan = nslp.targeting._ScreenPlan()
+    calls = [(6, 8, 1.0, range(6)), (6, 8, 0.5, range(6)), (6, 4, 0.5, range(6)),
+             (6, 4, 0.5, [5, 1]), (4, 4, 0.5, [1, 3]), (4, 2, 2.0, (3, 0, 2)),
+             (6, 8, 1.0, range(6))]
+    for n, k, spacing, cohorts in calls:
+        lp = model_n(n, theta=4.0)
+        cross = Cross(_random_center(rng, n, 4.0), spacing, k)
+        for bad, chi in [([0, n], n), ([-1, 2], -1), ([n], n), ([n], n)]:
+            with pytest.raises(ValueError, match=f"^cohort {chi} out of range for dimension {n}$"):
+                process_cohorts(lp, cross, bad, plan)
+        assert (process_cohorts(lp, cross, cohorts, plan)
+                == _process_cohorts_exact(lp, cross, cohorts))
+
+
 def test_cohort_on_an_all_zero_column_matches_the_exact_loop():
     # no row of A touches x_1, so the screen sees no nonzero entry at all
     lp = DenseLP(A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.array([1.0, 3.0]), c=np.ones(2))
@@ -714,6 +749,17 @@ def test_workload_clock_advances_with_snapshot(unit_square_explicit):
     # each row was evaluated against the snapshot at its clock
     for r in trace.rows:
         assert r.residual == max_violation(snapshot(problem, r.clock), r.center)
+
+
+def test_the_callers_start_array_stays_writable():
+    z = np.zeros(4)
+    problem = NonStationaryLP(model_n(4))
+    cfg = TargetingConfig(points_per_cohort=2)
+    wl = TargetingWorkload(problem, z, cfg, 1)
+    run_targeting(problem, z, cfg, 2, BsfExecutor())
+    assert z.flags.writeable
+    z[0] = 1.0  # the session took its own copy
+    assert wl.state.cross.center[0] == 0.0
 
 
 def _recovering_run():
