@@ -38,7 +38,6 @@ import contextlib
 import functools
 import json
 import math
-import numbers
 import os
 import pickle
 import statistics
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import EMPTY_DELTA, DenseLP, SparseDelta, _readonly, delta_between
+from .lp import EMPTY_DELTA, DenseLP, SparseDelta, _check_count, _readonly, delta_between
 
 _PAIR = np.dtype([("i", "<u4"), ("v", "<f8")])
 _U32, _U64, _F64 = np.dtype("<u4"), np.dtype("<u8"), np.dtype("<f8")
@@ -351,54 +350,55 @@ def _server_may_run_main(namespace: dict) -> bool:
     return True
 
 
-# the master's hand-off to ``nslp._server_main``: set only while the first
-# pool starts the fork server, and popped by the server as it reads it
+# the master's hand-off to ``nslp._server_main``: set only while a pool may
+# start the fork server, and popped by the server as it reads it
 _SERVER_MAIN_VAR = "_NSLP_FORKSERVER_MAIN"
+
+
+@functools.cache
+def _server_main() -> str | None:
+    """The hand-off, worked out once per process: when the driver is a
+    script (not ``python -m``) whose top level binds only standard-library,
+    numpy and nslp modules (``_server_may_run_main``), its path and the
+    master's ``sys.argv`` and ``sys.path``; otherwise None. It raises in a
+    process still bootstrapping (a worker or the server running an
+    unguarded driver)."""
+    from multiprocessing import spawn
+
+    data = spawn.get_preparation_data("forkserver")
+    main_path = data.get("init_main_from_path")
+    if main_path is None or not _server_may_run_main(vars(sys.modules["__main__"])):
+        return None
+    return json.dumps([main_path, data["sys_argv"], data["sys_path"]], default=os.fspath)
 
 
 @functools.cache
 def _pool_context():
     """The start method of every pool in this process: one fork server,
-    started at the first pool (which pays the server's start, about 0.3 s
+    started by the first pool (which pays the server's start, about 0.3 s
     for a fresh interpreter importing numpy and nslp), that forks each
     worker with numpy, nslp and ``multiprocessing.popen_forkserver`` already
     loaded (a worker's pipe ends arrive pickled as that module's ``_DupFd``,
     so without it every worker would import it before its first order).
-    When the driver is a script (not ``python -m``) whose top level binds
-    only standard-library, numpy and nslp modules (``_server_may_run_main``),
-    the server also runs that top level once, as ``__mp_main__`` with the
-    master's ``sys.argv`` and ``sys.path``, and the workers it forks find it
-    done. Any other driver,
-    or one whose top level raises in the server (a driver without a
-    ``__main__`` guard starts a pool there, which multiprocessing refuses),
-    is run again by each worker as it starts. Either way the top level runs
-    outside the master, so a driver needs a ``__main__`` guard. The server
-    is stopped and reaped when this process exits. Each pool measures ``L``
-    once per start, before the first order: the median of
-    ``BsfExecutor.latency_rounds`` (64 by default) one-byte round trips to
-    worker 0, halved."""
+    With a hand-off (``_server_main``) each server, a restarted one too,
+    runs the driver's top level once, as ``__mp_main__``, and the workers it
+    forks find it done. Any other driver, or one whose top level raises in
+    the server (a driver without a ``__main__`` guard starts a pool there,
+    which multiprocessing refuses), is run again by each worker as it
+    starts. Either way the top level runs outside the master, so a driver
+    needs a ``__main__`` guard. The server is stopped and reaped when this
+    process exits. Each pool measures ``L`` once per start, before the first
+    order: the median of ``BsfExecutor.latency_rounds`` (64 by default)
+    one-byte round trips to worker 0, halved."""
     import multiprocessing as mp
-    from multiprocessing import forkserver, spawn, util
+    from multiprocessing import forkserver, util
 
-    # first: in a process still bootstrapping (a worker or the server running
-    # an unguarded driver) this raises before any process starts
-    data = spawn.get_preparation_data("forkserver")
+    _server_main()  # first: a bootstrapping process raises before any process starts
     ctx = mp.get_context("forkserver")
-    main_path = data.get("init_main_from_path")
-    if main_path is not None and _server_may_run_main(vars(sys.modules["__main__"])):
-        os.environ[_SERVER_MAIN_VAR] = json.dumps(
-            [main_path, data["sys_argv"], data["sys_path"]], default=os.fspath)
-    else:
-        os.environ.pop(_SERVER_MAIN_VAR, None)
     ctx.set_forkserver_preload(
         ["numpy", "nslp", "multiprocessing.popen_forkserver", "nslp._server_main"])
     # priority < 0 runs after multiprocessing has joined the live children
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
-    try:
-        with _server_environ():
-            forkserver.ensure_running()
-    finally:
-        os.environ.pop(_SERVER_MAIN_VAR, None)
     return ctx
 
 
@@ -407,23 +407,29 @@ _SERVER_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "P
 
 @contextlib.contextmanager
 def _server_environ():
-    """The fork server's environment, set in this process only while a
-    server may start: at the first pool, and at each worker start, since
-    ``Process.start()`` restarts a server that has died. The caller's values
-    come back afterwards. Workers inherit the server's environment, not the
-    master's: their math runs on one BLAS thread (deterministic reductions,
-    no oversubscription underneath the process-level parallelism), and the
-    server, which does not take the master's sys.path, finds this nslp
-    unless it sits in a site directory a fresh interpreter searches anyway."""
+    """The fork server's environment, hand-off included, set in this process
+    only while a pool starts, since ``ensure_running()`` and each
+    ``Process.start()`` start a server that is not running. The caller's
+    values come back afterwards, except the hand-off, which is removed
+    whatever the caller had set. Workers inherit the server's environment,
+    not the master's: their math runs on one BLAS thread (deterministic
+    reductions, no oversubscription underneath the process-level
+    parallelism), and the server, which does not take the master's
+    sys.path, finds this nslp unless it sits in a site directory a fresh
+    interpreter searches anyway."""
     saved = {var: os.environ.get(var) for var in _SERVER_VARS}
     for var in _SERVER_VARS[:3]:
         os.environ.setdefault(var, "1")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if os.path.basename(root) not in ("site-packages", "dist-packages"):
         os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [root, saved["PYTHONPATH"]]))
+    os.environ.pop(_SERVER_MAIN_VAR, None)
+    if (handoff := _server_main()) is not None:
+        os.environ[_SERVER_MAIN_VAR] = handoff
     try:
         yield
     finally:
+        os.environ.pop(_SERVER_MAIN_VAR, None)
         for var, value in saved.items():
             if value is None:
                 os.environ.pop(var, None)
@@ -437,28 +443,28 @@ class _Pool:
     ``BsfWorkerError``."""
 
     def __init__(self, partition, setup):
-        try:
-            ctx = _pool_context()
-        except OSError as exc:
-            raise BsfWorkerError(f"fork server did not start: {exc!r}") from exc
+        from multiprocessing import forkserver
+
+        ctx = _pool_context()
         self.conns = []
         self.procs = []
-        children = []
         try:
             with _server_environ():
+                try:
+                    forkserver.ensure_running()
+                except OSError as exc:
+                    raise BsfWorkerError(f"fork server did not start: {exc!r}") from exc
                 for w, part in enumerate(partition):
                     try:
                         parent, child = ctx.Pipe(duplex=True)
                         self.conns.append(parent)
-                        children.append(child)
-                        proc = ctx.Process(target=_worker_main, args=(child, w, tuple(part)),
-                                           daemon=True)
-                        proc.start()
+                        with child:  # the worker's end, sent to the server by start()
+                            proc = ctx.Process(target=_worker_main,
+                                               args=(child, w, tuple(part)), daemon=True)
+                            proc.start()
                     except (EOFError, OSError) as exc:
                         raise BsfWorkerError(f"worker {w} did not start: {exc!r}") from exc
                     self.procs.append(proc)
-            for child in children:
-                child.close()
             # the setup goes out as each worker's first frame once all have
             # started: start() stays cheap, the workers boot side by side, and
             # a child that dies at bootstrap breaks its pipe instead of
@@ -467,8 +473,6 @@ class _Pool:
             for w in range(len(self.conns)):
                 self.send(w, blob)
         except BaseException:
-            for child in children:
-                child.close()
             self.shutdown()
             raise
 
@@ -586,9 +590,7 @@ class BsfExecutor:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         for name in ("p_workers", "latency_rounds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(name, getattr(self, name))
         if not 0.0 <= self.sim_latency_ns < math.inf:
             raise ValueError("sim_latency_ns must be finite and nonnegative, "
                              f"got {self.sim_latency_ns!r}")

@@ -8,6 +8,7 @@ but not stored as rows unless a generator chooses to add them explicitly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -15,6 +16,12 @@ import numpy as np
 DEFAULT_THETA = 200.0
 
 DRIFT_KINDS = ("none", "translate", "random-sparse")
+
+
+def _check_count(name: str, value) -> None:
+    """A count setting is an integer >= 1; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

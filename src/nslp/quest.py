@@ -9,7 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import DenseLP, NonStationaryLP, _violation, advance, max_violation, snapshot
+from .lp import (DenseLP, NonStationaryLP, _check_count, _violation, advance, max_violation,
+                 snapshot)
 
 
 class MalformedProblemError(ValueError):
@@ -28,10 +29,8 @@ class FejerConfig:
             raise ValueError(f"relaxation must lie in (0, 2), got {self.relaxation}")
         if not self.tolerance >= 0.0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
+        for name in ("max_iterations", "refresh_every"):
+            _check_count(name, getattr(self, name))
 
 
 class QuestResult(NamedTuple):

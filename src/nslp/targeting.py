@@ -12,8 +12,8 @@ import numpy as np
 from .bsf import Order, RunMetrics, WorkerResult, make_order
 from .cross import Cross, _cohort_markers, _offsets, recenter
 from .cross import _point as point_of  # in-range builds, counted under this name
-from .lp import (DenseLP, NonStationaryLP, advance, apply_delta, max_violation,
-                 objective_value, snapshot)
+from .lp import (DenseLP, NonStationaryLP, _check_count, advance, apply_delta,
+                 max_violation, objective_value, snapshot)
 from .quest import FejerConfig, pseudo_project
 
 
@@ -42,8 +42,7 @@ class TargetingConfig:
     oracle_gap: bool = False
 
     def __post_init__(self):
-        if self.stall_limit < 1:
-            raise ValueError("stall_limit must be >= 1")
+        _check_count("stall_limit", self.stall_limit)
         # the cross checks K and the spacing; any center of dimension 2 will do
         Cross(np.zeros(2), self.spacing, self.points_per_cohort)
 
@@ -63,53 +62,43 @@ _INFEASIBLE, _FEASIBLE, _UNSURE = 0, 1, 2
 
 class _ScreenPlan:
     """What ``process_cohorts`` and ``_screen`` need that does not change
-    between calls, kept for the last cohort list and the last ``A`` seen.
-    A worker keeps one plan across orders.
+    between orders to one worker, for one cohort list and one cross shape:
+    K, the spacing and the dimension. A worker makes its plan at its first
+    order and keeps it for the session, since its cohorts and the cross's
+    shape never change.
 
-    ``layout`` keeps what depends only on the cohort list, K, the spacing
-    and the dimension: the sorted cohorts, range-checked when they are laid
-    out, their marker lists, the offsets, the steps and the tie order. It
-    lays them out again whenever any of the four differs from the last call.
+    Made, it holds the sorted cohorts, range-checked, their marker lists,
+    the offsets, the steps and the tie order.
 
-    ``fit`` keeps what depends on the cohort columns and ``A``: the index of
-    those columns' nonzeros, the rows they touch and ``|A[rows]|``. Handed
-    the same ``A`` object and columns again, it does nothing. That is safe
-    because ``DenseLP`` makes its arrays read-only, so the object still holds
-    the values the plan read, and the plan's own reference keeps the object
-    from being freed and its address reused. For any other ``A`` object it
-    compares the zero mask and the columns with the kept ones and rebuilds
-    the index when either differs, so a stale index is never used; then it
-    refills ``|A[rows]|`` in place."""
+    ``fit`` keeps what depends on ``A``: the index of the cohort columns'
+    nonzeros, the rows they touch and ``|A[rows]|``. Handed the same ``A``
+    object again, it does nothing. That is safe because ``DenseLP`` makes
+    its arrays read-only, so the object still holds the values the plan
+    read, and the plan's own reference keeps the object from being freed
+    and its address reused. For any other ``A`` object it compares the zero
+    mask with the kept one and rebuilds the index when it differs, so a
+    stale index is never used; then it refills ``|A[rows]|`` in place."""
 
-    def __init__(self):
-        self.key = self.A = self.index_cols = self.zero = None
-
-    def layout(self, cross: Cross, cohorts) -> _ScreenPlan:
-        key = (tuple(cohorts), cross.points_per_cohort, cross.spacing, cross.dimension)
-        if key == self.key:
-            return self
-        chis = sorted(int(c) for c in key[0])
-        if chis and not 0 <= chis[0] <= chis[-1] < cross.dimension:
+    def __init__(self, cohorts, k: int, spacing: float, dimension: int):
+        chis = sorted(int(c) for c in cohorts)
+        if chis and not 0 <= chis[0] <= chis[-1] < dimension:
             chi = chis[0] if chis[0] < 0 else chis[-1]
-            raise ValueError(f"cohort {chi} out of range for dimension {cross.dimension}")
-        k = cross.points_per_cohort
+            raise ValueError(f"cohort {chi} out of range for dimension {dimension}")
         self.chis, self.cols = chis, np.array(chis, dtype=np.intp)
         self.markers = [_cohort_markers(k, chi) for chi in chis]
         self.offsets = offsets = _offsets(k)
-        self.steps = np.array(offsets) * cross.spacing
+        self.steps = np.array(offsets) * spacing
         self.tie_order = sorted(range(k), key=lambda i: (abs(offsets[i]), offsets[i] > 0))
-        self.key = key
-        return self
+        self.A = self.zero = None
 
-    def fit(self, A: np.ndarray, cols: np.ndarray) -> _ScreenPlan:
-        same_cols = np.array_equal(cols, self.index_cols)
-        if A is self.A and same_cols:
-            return self
-        zero = A == 0.0
-        if not (same_cols and np.array_equal(zero, self.zero)):
+    def fit(self, A: np.ndarray) -> None:
+        if A is self.A:
+            return
+        zero, cols = A == 0.0, self.cols
+        if not np.array_equal(zero, self.zero):
             coh, ri = np.nonzero(~zero.T[cols])  # the nonzeros by cohort, then row
             counts = np.bincount(coh, minlength=len(cols))
-            self.index_cols, self.zero, self.ri = cols.copy(), zero, ri
+            self.zero, self.ri = zero, ri
             self.pos = ri * A.shape[1] + cols[coh]  # flat A positions
             self.nonempty = counts > 0
             self.starts = (np.cumsum(counts) - counts)[self.nonempty]  # reduceat starts
@@ -119,13 +108,12 @@ class _ScreenPlan:
         self.A = A
         # the plan's indices are in range: "clip" only skips take's buffered check
         np.abs(A.take(self.rows, axis=0, out=self.mag, mode="clip"), out=self.mag)
-        return self
 
 
-def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
-            plan: _ScreenPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _screen(lp: DenseLP, cross: Cross, plan: _ScreenPlan,
+            steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feasibility verdicts and value candidates for the points ``center +
-    steps[k] * e_chi`` of the given cohorts, two arrays of shape (cohorts,
+    steps[k] * e_chi`` of the plan's cohorts, two arrays of shape (cohorts,
     steps), from one product ``r0 = A @ center - b``, one pass over the
     cohort columns' nonzeros and one ``c @ center``.
 
@@ -157,19 +145,18 @@ def _screen(lp: DenseLP, cross: Cross, cohorts: list[int], steps: np.ndarray,
     finite, every point is _UNSURE and a candidate.
 
     The nonzero index and ``|A[rows]|`` come from ``plan`` fitted to this
-    ``A`` object, or from one built for this call; the nonzero values are
-    read from ``A`` on every call. A fitted plan matches its ``A`` object
-    for as long as the plan holds it (see ``_ScreenPlan``), so the result
-    does not depend on the plan's age. The returned arrays are new."""
-    A, center = lp.A, cross.center
-    cols = np.asarray(cohorts, dtype=np.intp)
+    ``A`` object; the nonzero values are read from ``A`` on every call. A
+    fitted plan matches its ``A`` object for as long as the plan holds it
+    (see ``_ScreenPlan``), so the result does not depend on the plan's age.
+    The returned arrays are new."""
+    A, center, cols = lp.A, cross.center, plan.cols
     r0 = A @ center - lp.b
     c = center[cols, None]
     coords = c + steps        # the coordinate point_of writes, bit for bit
     if not (np.isfinite(r0).all() and np.isfinite(coords).all()):
         return (np.full(coords.shape, _UNSURE, dtype=np.int8),
                 np.ones(coords.shape, dtype=bool))
-    plan = (plan or _ScreenPlan()).fit(A, cols)
+    plan.fit(A)
     t = coords - c
     # nonnegativity: the point copies the center everywhere but on its axis
     negative = center < 0.0
@@ -224,12 +211,13 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
     verdict of ``max_violation(lp, p) == 0.0`` on every point; for rows
     with a zero in the point's column that relies on BLAS summing a row in
     an order that does not depend on the vector's values. Every point is
-    still built, once, though only the candidates need it: the plan's layout
-    has range-checked the cohorts, so the builds skip ``point_of``'s checks.
+    still built, once, though only the candidates need it: the plan has
+    range-checked the cohorts, so the builds skip ``point_of``'s checks.
 
-    A worker passes the screen plan it keeps across orders: it lays the
-    cohorts out once per cohort list and reads ``A`` once per LP object (see
-    ``_ScreenPlan``). Without one, a plan is built for this call.
+    A worker passes the screen plan it keeps for its session, made for these
+    cohorts and this cross's K, spacing and dimension; it reads ``A`` once
+    per LP object (see ``_ScreenPlan``). Without one, a plan is made for
+    this call.
 
     Ties break deterministically: smallest |offset| first, negative before
     positive, so results are independent of how cohorts are partitioned
@@ -237,12 +225,12 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
     """
     if lp.n != cross.dimension:
         raise ValueError(f"problem dimension {lp.n} != cross dimension {cross.dimension}")
-    plan = (plan or _ScreenPlan()).layout(cross, cohorts)
+    if plan is None:
+        plan = _ScreenPlan(cohorts, cross.points_per_cohort, cross.spacing, cross.dimension)
     if not plan.chis:
         return []
     offsets = plan.offsets
-    screened = _screen(lp, cross, plan.cols, plan.steps, plan)
-    verdicts, candidates = (a.tolist() for a in screened)
+    verdicts, candidates = (a.tolist() for a in _screen(lp, cross, plan, plan.steps))
     out = []
     for chi, ms, verdict, maybe in zip(plan.chis, plan.markers, verdicts, candidates):
         best_offset, best_value = None, -math.inf
@@ -327,15 +315,16 @@ class TrackingTrace:
 class _WorkerState:
     lp: DenseLP
     cohorts: tuple
-    plan: _ScreenPlan = field(default_factory=_ScreenPlan, compare=False)
+    plan: _ScreenPlan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class TargetingWorkerSetup:
     """Worker-side half of the workload; picklable, pure in (state, order).
-    The state's screen plan is a cache that every call checks against its
-    cohorts, cross and LP. An empty delta keeps the LP object, so on a
-    stationary problem the plan reads ``A`` only for the first order."""
+    The first order makes the state's screen plan, for the worker's cohorts
+    and this setup's cross shape, and every later order reuses it; the plan
+    rereads ``A`` only for a new LP object. An empty delta keeps the LP
+    object, so on a stationary problem the plan reads ``A`` only once."""
 
     lp0: DenseLP
     spacing: float
@@ -347,22 +336,23 @@ class TargetingWorkerSetup:
     def process_order(self, state: _WorkerState, order: Order):
         lp = apply_delta(state.lp, order.delta)
         cross = Cross(order.theta, self.spacing, self.points_per_cohort)
-        bests = process_cohorts(lp, cross, state.cohorts, state.plan)
-        return replace(state, lp=lp), tuple(bests)
+        plan = state.plan or _ScreenPlan(state.cohorts, self.points_per_cohort,
+                                         self.spacing, cross.dimension)
+        bests = process_cohorts(lp, cross, state.cohorts, plan)
+        return replace(state, lp=lp, plan=plan), tuple(bests)
 
 
 class TargetingWorkload:
     """Master-side state machine driving one tracking session."""
 
     def __init__(self, problem: NonStationaryLP, z, cfg: TargetingConfig, iterations: int):
-        if iterations < 1:
-            raise ValueError("need at least one iteration")
+        _check_count("iterations", iterations)
         z = np.array(z, dtype=np.float64)  # the cross makes its center read-only
         if z.shape != (problem.base.n,):
             raise ValueError(f"start point has length {z.shape}, expected {problem.base.n}")
         self.problem = problem
         self.cfg = cfg
-        self.iterations = int(iterations)
+        self.iterations = iterations
         self.lp = snapshot(problem, problem.clock)
         self.state = TargetingState(
             cross=Cross(z, cfg.spacing, cfg.points_per_cohort), clock=problem.clock)

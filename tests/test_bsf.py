@@ -660,6 +660,66 @@ def test_pool_runs_leave_the_drivers_environment_as_it_was(tmp_path, kill):
     assert run["blas"] == ["1"] * 4
 
 
+def test_a_restarted_fork_server_runs_the_driver_top_level_for_its_workers(tmp_path):
+    # the second pool restarts the killed server; it gets the hand-off too, so
+    # the top level runs in the master and in each server, never in a worker
+    script = tmp_path / "driver.py"
+    script.write_text(textwrap.dedent("""\
+        import json, os, signal, sys
+        import numpy as np
+        from nslp import BsfExecutor, Order, SparseDelta
+
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
+
+        class ParentSetup:
+            def init_state(self, worker_id, cohorts):
+                return None
+
+            def process_order(self, state, order):
+                return None, (os.getppid(),)
+
+        class ParentWorkload:
+            cohort_count = 2
+
+            def init(self, p_workers, partition):
+                return ParentSetup()
+
+            def make_order(self):
+                return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
+
+            def merge_results(self, results):
+                return [b for r in results for b in r.bests]
+
+            def evaluate(self, merged):
+                self.seen = merged
+
+            def exit_check(self):
+                return True
+
+            def finalize(self):
+                return self.seen
+
+        if __name__ == "__main__":
+            from multiprocessing.forkserver import _forkserver
+            servers = []
+            for _ in range(2):
+                seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(ParentWorkload())
+                servers.append(sorted(set(seen)))
+                os.kill(_forkserver._forkserver_pid, signal.SIGKILL)
+                os.waitid(os.P_PID, _forkserver._forkserver_pid, os.WEXITED | os.WNOWAIT)
+            print(json.dumps({"master": os.getpid(), "servers": servers}))
+        """))
+    pids = tmp_path / "top_level.pids"
+    done = _run_driver(script, pids)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout)
+    (first,), (second,) = run["servers"]
+    assert first != second
+    assert sorted(int(pid) for pid in pids.read_text().split()) == sorted(
+        [run["master"], first, second])
+
+
 def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):
     # every worker re-runs the unguarded script as it starts and dies there,
     # while the master still has a 2.5 MB setup to send it

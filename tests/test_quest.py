@@ -181,6 +181,13 @@ def test_fejer_config_validation():
         fejer_step(_one_dim(), np.array([3.0, 0.0]), relaxation=2.5)
 
 
+@pytest.mark.parametrize("value", [1.5, True, 0])
+@pytest.mark.parametrize("field", ["max_iterations", "refresh_every"])
+def test_fejer_config_counts_are_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value!r}$"):
+        FejerConfig(**{field: value})
+
+
 def test_fejer_config_rejects_nan_tolerance():
     # residual <= nan is never true: the projection would run its whole budget
     with pytest.raises(ValueError, match="tolerance"):

@@ -67,9 +67,10 @@ def test_dimension_mismatch_rejected(unit_square):
         process_cohorts(unit_square, cross, [0])
 
 
-@pytest.mark.parametrize("cohorts", [[-1], [2], [0, 5], [-3, 1]])
-def test_out_of_range_cohort_rejected(unit_square, cohorts):
-    with pytest.raises(ValueError, match="out of range"):
+@pytest.mark.parametrize("cohorts, chi", [([-1], -1), ([2], 2), ([0, 5], 5), ([-3, 1], -3),
+                                         ([0, 2], 2), ([-1, 2], -1)])
+def test_out_of_range_cohort_rejected(unit_square, cohorts, chi):
+    with pytest.raises(ValueError, match=f"^cohort {chi} out of range for dimension 2$"):
         process_cohorts(unit_square, _square_cross(), cohorts)
 
 
@@ -306,25 +307,16 @@ def test_screen_results_are_not_views_of_the_plan():
     tg = nslp.targeting
     lp = _row6_snapshots()[1]
     steps = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
-    plan = tg._ScreenPlan()
+    plan = tg._ScreenPlan(range(6), 8, 1.0, 6)
     crosses = [Cross(np.ones(6), 1.0, 8), Cross(np.full(6, 3.0), 1.0, 8)]
-    first = tg._screen(lp, crosses[0], range(6), steps, plan)[0]
+    first = tg._screen(lp, crosses[0], plan, steps)[0]
     kept = first.copy()
     bests = process_cohorts(lp, crosses[0], range(6), plan)
     kept_bests = list(bests)
-    assert not np.array_equal(tg._screen(lp, crosses[1], range(6), steps, plan)[0], kept)
+    assert not np.array_equal(tg._screen(lp, crosses[1], plan, steps)[0], kept)
     assert process_cohorts(lp, crosses[1], range(6), plan) != kept_bests
     assert np.array_equal(first, kept)
     assert bests == kept_bests == _process_cohorts_exact(lp, crosses[0], range(6))
-
-
-def test_one_plan_follows_a_change_of_cohorts():
-    lp = _row6_snapshots()[3]
-    cross = Cross(np.ones(6), 1.0, 8)
-    plan = nslp.targeting._ScreenPlan()
-    for cohorts in ([0, 1], [2, 3], [1, 3, 5], range(6)):
-        assert (process_cohorts(lp, cross, cohorts, plan)
-                == _process_cohorts_exact(lp, cross, cohorts))
 
 
 def test_one_plan_reads_every_new_lp_object():
@@ -339,27 +331,31 @@ def test_one_plan_reads_every_new_lp_object():
     lps = [DenseLP(np.array([[1.0, 1e-300, -1e-300]]), np.array([2.0]), c),
            DenseLP(np.array([[1.0, 1.0, -1.0]]), np.array([2.0]), c),  # same zeros
            DenseLP(np.array([[1.0, 1.0, 0.0]]), np.array([big + 2.0]), c)]  # other zeros
-    plan = nslp.targeting._ScreenPlan()
+    plan = nslp.targeting._ScreenPlan([0], 10, 0.5, 3)
     for lp, best in zip(lps, [4, 5, 5]):
         got = process_cohorts(lp, cross, [0], plan)
         assert got == _process_cohorts_exact(lp, cross, [0])
         assert got[0].offset == best
 
 
-def test_one_plan_follows_crosses_and_cohort_lists_and_rejects_every_bad_call():
-    rng = np.random.default_rng(5)
-    plan = nslp.targeting._ScreenPlan()
-    calls = [(6, 8, 1.0, range(6)), (6, 8, 0.5, range(6)), (6, 4, 0.5, range(6)),
-             (6, 4, 0.5, [5, 1]), (4, 4, 0.5, [1, 3]), (4, 2, 2.0, (3, 0, 2)),
-             (6, 8, 1.0, range(6))]
-    for n, k, spacing, cohorts in calls:
-        lp = model_n(n, theta=4.0)
-        cross = Cross(_random_center(rng, n, 4.0), spacing, k)
-        for bad, chi in [([0, n], n), ([-1, 2], -1), ([n], n), ([n], n)]:
-            with pytest.raises(ValueError, match=f"^cohort {chi} out of range for dimension {n}$"):
-                process_cohorts(lp, cross, bad, plan)
-        assert (process_cohorts(lp, cross, cohorts, plan)
-                == _process_cohorts_exact(lp, cross, cohorts))
+def test_a_worker_makes_its_plan_at_its_first_order_and_keeps_it():
+    n, k, spacing = 12, 8, 1.0
+    drift = DriftSpec(kind="random-sparse", delta=0.5, magnitude=1e-2, seed=9)
+    problem = NonStationaryLP(model_n(n, theta=4.0), drift)
+    setup = TargetingWorkerSetup(snapshot(problem, 0), spacing, k)
+    cohorts = (1, 4, 7, 10)
+    state = setup.init_state(0, cohorts)
+    assert state.plan is None
+    rng = np.random.default_rng(3)
+    plans = []
+    for clock in range(5):
+        lp = snapshot(problem, clock)
+        prev = snapshot(problem, max(clock - 1, 0))
+        center = _random_center(rng, n, 4.0)
+        state, bests = setup.process_order(state, make_order(prev, lp, center, clock))
+        plans.append(state.plan)
+        assert list(bests) == _process_cohorts_exact(lp, Cross(center, spacing, k), cohorts)
+    assert plans[0] is not None and all(plan is plans[0] for plan in plans)
 
 
 def test_cohort_on_an_all_zero_column_matches_the_exact_loop():
@@ -435,7 +431,7 @@ def test_screen_ends_carry_the_rounding_widening(a, x0, b):
                                    over, np.nextafter(over, np.inf)])
     assert np.array_equal((x0 + steps) - x0, steps)  # every move is exact
     tg = nslp.targeting
-    verdicts = tg._screen(lp, Cross(center, 1.0, 2), [0], steps)[0]
+    verdicts = tg._screen(lp, Cross(center, 1.0, 2), tg._ScreenPlan([0], 2, 1.0, 2), steps)[0]
     assert verdicts.tolist() == [[tg._FEASIBLE, tg._UNSURE, tg._UNSURE, tg._INFEASIBLE]]
 
 
@@ -479,7 +475,7 @@ def test_value_guard_keeps_a_point_on_its_cohorts_floor(x0):
     # best and stays a candidate; one ulp below, it is dropped
     lp, cross, steps = _value_guard_case(x0)
     tg = nslp.targeting
-    verdicts, candidates = tg._screen(lp, cross, [0], steps)
+    verdicts, candidates = tg._screen(lp, cross, tg._ScreenPlan([0], 2, 1.0, 2), steps)
     assert verdicts.tolist() == [[tg._FEASIBLE] * 3]
     assert candidates.tolist() == [[False, True, True]]
 
@@ -492,8 +488,9 @@ def test_value_screen_keeps_every_point_within_a_factor_two_of_overflow():
     bound = np.abs(lp.c) @ np.abs(cross.center) + np.abs(lp.c[1] * steps)
     assert ((f64.max / 2.0 <= bound) & (bound < f64.max)).all()
     tg = nslp.targeting
-    assert tg._screen(lp, cross, [0], steps)[1].tolist() == [[False, True, True]]
-    verdicts, candidates = tg._screen(lp, cross, [0, 1], steps)
+    plans = [tg._ScreenPlan(cohorts, 2, 1.0, 2) for cohorts in ([0], [0, 1])]
+    assert tg._screen(lp, cross, plans[0], steps)[1].tolist() == [[False, True, True]]
+    verdicts, candidates = tg._screen(lp, cross, plans[1], steps)
     assert verdicts.tolist() == [[tg._FEASIBLE] * 3] * 2
     assert candidates.all()
 
@@ -725,6 +722,15 @@ def test_run_targeting_validation(unit_square):
         run_targeting(problem, np.zeros(3), cfg, 1, BsfExecutor())
     with pytest.raises(ValueError):
         TargetingConfig(stall_limit=0)
+
+
+@pytest.mark.parametrize("value", [1.5, True, 0])
+def test_stall_limit_and_iteration_count_are_integers(unit_square, value):
+    with pytest.raises(ValueError, match=f"^stall_limit must be an integer >= 1, got {value!r}$"):
+        TargetingConfig(stall_limit=value)
+    cfg = TargetingConfig(points_per_cohort=4, spacing=0.25)
+    with pytest.raises(ValueError, match=f"^iterations must be an integer >= 1, got {value!r}$"):
+        run_targeting(NonStationaryLP(base=unit_square), np.zeros(2), cfg, value, BsfExecutor())
 
 
 @pytest.mark.parametrize("field, value", [
