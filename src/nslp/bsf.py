@@ -356,7 +356,7 @@ _SERVER_MAIN_VAR = "_NSLP_FORKSERVER_MAIN"
 
 
 @functools.cache
-def _server_main() -> str | None:
+def _hand_off() -> str | None:
     """The hand-off, worked out once per process: when the driver is a
     script (not ``python -m``) whose top level binds only standard-library,
     numpy and nslp modules (``_server_may_run_main``), its path and the
@@ -380,7 +380,7 @@ def _pool_context():
     worker with numpy, nslp and ``multiprocessing.popen_forkserver`` already
     loaded (a worker's pipe ends arrive pickled as that module's ``_DupFd``,
     so without it every worker would import it before its first order).
-    With a hand-off (``_server_main``) each server, a restarted one too,
+    With a hand-off (``_hand_off``) each server, a restarted one too,
     runs the driver's top level once, as ``__mp_main__``, and the workers it
     forks find it done. Any other driver, or one whose top level raises in
     the server (a driver without a ``__main__`` guard starts a pool there,
@@ -393,7 +393,7 @@ def _pool_context():
     import multiprocessing as mp
     from multiprocessing import forkserver, util
 
-    _server_main()  # first: a bootstrapping process raises before any process starts
+    _hand_off()  # first: a bootstrapping process raises before any process starts
     ctx = mp.get_context("forkserver")
     ctx.set_forkserver_preload(
         ["numpy", "nslp", "multiprocessing.popen_forkserver", "nslp._server_main"])
@@ -424,7 +424,7 @@ def _server_environ():
     if os.path.basename(root) not in ("site-packages", "dist-packages"):
         os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [root, saved["PYTHONPATH"]]))
     os.environ.pop(_SERVER_MAIN_VAR, None)
-    if (handoff := _server_main()) is not None:
+    if (handoff := _hand_off()) is not None:
         os.environ[_SERVER_MAIN_VAR] = handoff
     try:
         yield

@@ -63,12 +63,11 @@ _INFEASIBLE, _FEASIBLE, _UNSURE = 0, 1, 2
 class _ScreenPlan:
     """What ``process_cohorts`` and ``_screen`` need that does not change
     between orders to one worker, for one cohort list and one cross shape:
-    K, the spacing and the dimension. A worker makes its plan at its first
-    order and keeps it for the session, since its cohorts and the cross's
-    shape never change.
-
-    Made, it holds the sorted cohorts, range-checked, their marker lists,
-    the offsets, the steps and the tie order.
+    K, the spacing and the dimension. It holds the sorted cohorts,
+    range-checked when the plan is made, their marker lists, the offsets,
+    the steps and the tie order. A worker makes its plan at its first order
+    and keeps it for the session, since its cohorts and the cross's shape
+    never change.
 
     ``fit`` keeps what depends on ``A``: the index of the cohort columns'
     nonzeros, the rows they touch and ``|A[rows]|``. Handed the same ``A``
@@ -352,7 +351,7 @@ class TargetingWorkload:
             raise ValueError(f"start point has length {z.shape}, expected {problem.base.n}")
         self.problem = problem
         self.cfg = cfg
-        self.iterations = iterations
+        self.iterations = int(iterations)
         self.lp = snapshot(problem, problem.clock)
         self.state = TargetingState(
             cross=Cross(z, cfg.spacing, cfg.points_per_cohort), clock=problem.clock)

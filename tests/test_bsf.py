@@ -596,12 +596,15 @@ def test_pool_workers_import_nothing_before_their_first_order(two_pool_runs):
     assert [mods for run in two_pool_runs for *_, mods in run["workers"]] == [[]] * 4
 
 
-@pytest.mark.parametrize("kill", [False, True], ids=["one-server", "restarted-server"])
-def test_pool_runs_leave_the_drivers_environment_as_it_was(tmp_path, kill):
-    # the fork server gets one BLAS thread and this nslp on PYTHONPATH only
-    # while it may start, which includes the restart the second pool's first
-    # Process.start() makes after the server was killed; the driver, started
-    # without those four variables, finds nslp through its own sys.path
+@pytest.fixture(scope="module", params=[False, True], ids=["one-server", "restarted-server"])
+def server_kill_runs(request, tmp_path_factory):
+    """A driver, started without the BLAS variables and PYTHONPATH, makes two
+    2-worker pool runs, and with the ``restarted-server`` param SIGKILLs the
+    fork server after each, so the second pool restarts it. Returns the
+    driver's environment before and after, each worker's (parent pid,
+    OPENBLAS_NUM_THREADS), the master's pid and the pids of the processes
+    that ran the driver's top level."""
+    tmp_path = tmp_path_factory.mktemp("kill")
     script = tmp_path / "driver.py"
     script.write_text(textwrap.dedent("""\
         import json, os, signal, sys
@@ -609,12 +612,15 @@ def test_pool_runs_leave_the_drivers_environment_as_it_was(tmp_path, kill):
         import numpy as np
         from nslp import BsfExecutor, Order, SparseDelta
 
+        with open(sys.argv[3], "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
+
         class BlasSetup:
             def init_state(self, worker_id, cohorts):
                 return None
 
             def process_order(self, state, order):
-                return None, (os.environ.get("OPENBLAS_NUM_THREADS"),)
+                return None, ((os.getppid(), os.environ.get("OPENBLAS_NUM_THREADS")),)
 
         class BlasWorkload:
             cohort_count = 2
@@ -638,86 +644,47 @@ def test_pool_runs_leave_the_drivers_environment_as_it_was(tmp_path, kill):
                 return self.seen
 
         if __name__ == "__main__":
-            before, blas = dict(os.environ), []
+            before, workers = dict(os.environ), []
             for _ in range(2):
                 seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(BlasWorkload())
-                blas += seen
+                workers += seen
                 if sys.argv[2] == "True":
                     from multiprocessing.forkserver import _forkserver
                     os.kill(_forkserver._forkserver_pid, signal.SIGKILL)
                     # wait for its exit but leave the reaping to the restart
                     os.waitid(os.P_PID, _forkserver._forkserver_pid, os.WEXITED | os.WNOWAIT)
-            print(json.dumps({"before": before, "after": dict(os.environ), "blas": blas}))
+            print(json.dumps({"before": before, "after": dict(os.environ), "workers": workers,
+                              "master": os.getpid()}))
         """))
     env = {k: v for k, v in os.environ.items() if k not in (*_BLAS_VARS, "PYTHONPATH")}
     src = str(Path(nslp.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, str(script), src, str(kill)], env=env,
+    pids = tmp_path / "top_level.pids"
+    done = subprocess.run([sys.executable, str(script), src, str(request.param), pids], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     run = json.loads(done.stdout)
+    run["top_level"] = [int(pid) for pid in pids.read_text().split()]
+    return {**run, "killed": request.param}
+
+
+def test_pool_runs_leave_the_drivers_environment_as_it_was(server_kill_runs):
+    # the fork server gets one BLAS thread and this nslp on PYTHONPATH only
+    # while it may start, which includes the restart the second pool's first
+    # Process.start() makes after the server was killed; the driver, started
+    # without those four variables, finds nslp through its own sys.path
+    run = server_kill_runs
     assert run["after"] == run["before"]
     assert not set(run["before"]) & {*_BLAS_VARS, "PYTHONPATH"}
-    assert run["blas"] == ["1"] * 4
+    assert [blas for _, blas in run["workers"]] == ["1"] * 4
 
 
-def test_a_restarted_fork_server_runs_the_driver_top_level_for_its_workers(tmp_path):
-    # the second pool restarts the killed server; it gets the hand-off too, so
-    # the top level runs in the master and in each server, never in a worker
-    script = tmp_path / "driver.py"
-    script.write_text(textwrap.dedent("""\
-        import json, os, signal, sys
-        import numpy as np
-        from nslp import BsfExecutor, Order, SparseDelta
-
-        with open(sys.argv[1], "a") as fh:
-            fh.write(f"{os.getpid()}\\n")
-
-        class ParentSetup:
-            def init_state(self, worker_id, cohorts):
-                return None
-
-            def process_order(self, state, order):
-                return None, (os.getppid(),)
-
-        class ParentWorkload:
-            cohort_count = 2
-
-            def init(self, p_workers, partition):
-                return ParentSetup()
-
-            def make_order(self):
-                return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
-
-            def merge_results(self, results):
-                return [b for r in results for b in r.bests]
-
-            def evaluate(self, merged):
-                self.seen = merged
-
-            def exit_check(self):
-                return True
-
-            def finalize(self):
-                return self.seen
-
-        if __name__ == "__main__":
-            from multiprocessing.forkserver import _forkserver
-            servers = []
-            for _ in range(2):
-                seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(ParentWorkload())
-                servers.append(sorted(set(seen)))
-                os.kill(_forkserver._forkserver_pid, signal.SIGKILL)
-                os.waitid(os.P_PID, _forkserver._forkserver_pid, os.WEXITED | os.WNOWAIT)
-            print(json.dumps({"master": os.getpid(), "servers": servers}))
-        """))
-    pids = tmp_path / "top_level.pids"
-    done = _run_driver(script, pids)
-    assert done.returncode == 0, done.stderr
-    run = json.loads(done.stdout)
-    (first,), (second,) = run["servers"]
-    assert first != second
-    assert sorted(int(pid) for pid in pids.read_text().split()) == sorted(
-        [run["master"], first, second])
+def test_every_fork_server_runs_the_driver_top_level_for_its_workers(server_kill_runs):
+    # a restarted server gets the hand-off too: the top level runs in the
+    # master and once in each server, never in a worker
+    run = server_kill_runs
+    servers = {ppid for ppid, _ in run["workers"]}
+    assert len(servers) == (2 if run["killed"] else 1)
+    assert sorted(run["top_level"]) == sorted([run["master"], *servers])
 
 
 def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):
