@@ -357,12 +357,10 @@ _SERVER_MAIN_VAR = "_NSLP_FORKSERVER_MAIN"
 
 @functools.cache
 def _hand_off() -> str | None:
-    """The hand-off, worked out once per process: when the driver is a
-    script (not ``python -m``) whose top level binds only standard-library,
-    numpy and nslp modules (``_server_may_run_main``), its path and the
-    master's ``sys.argv`` and ``sys.path``; otherwise None. It raises in a
-    process still bootstrapping (a worker or the server running an
-    unguarded driver)."""
+    """The hand-off, worked out once per process: the driver script's path
+    and the master's ``sys.argv`` and ``sys.path`` when the server may run
+    its top level (``_server_may_run_main``; never under ``python -m``),
+    otherwise None."""
     from multiprocessing import spawn
 
     data = spawn.get_preparation_data("forkserver")
@@ -393,7 +391,9 @@ def _pool_context():
     import multiprocessing as mp
     from multiprocessing import forkserver, util
 
-    _hand_off()  # first: a bootstrapping process raises before any process starts
+    # first: in a process still bootstrapping (a worker or the server running
+    # an unguarded driver) this raises before any process starts
+    _hand_off()
     ctx = mp.get_context("forkserver")
     ctx.set_forkserver_preload(
         ["numpy", "nslp", "multiprocessing.popen_forkserver", "nslp._server_main"])
