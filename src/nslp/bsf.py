@@ -6,13 +6,12 @@ One master loop drives both backends, which differ only in how an order
 frame reaches the workers and their results come back, and must produce
 identical outputs: ``sequential-sim`` runs everything in-process with a
 deterministic synthetic clock (the latency ``sim_latency_ns`` plus fixed
-charges), ``worker-pool`` runs workers in processes forked from a fork
-server that has numpy, nslp and ``multiprocessing.popen_forkserver`` (the
-module that unpickles a worker's pipe ends) preloaded, and the top level
-of a driver script that imports nothing else already run (so it needs a
-POSIX start method), connected by pipes, and reports measured timings.
-``BsfExecutor(backend, p_workers).run(workload)`` is the farm's only entry
-point.
+charges), ``worker-pool`` runs workers that live for the whole process,
+connected by pipes, and reports measured timings. The pool's workers are
+forked from a fork server (so it needs a POSIX start method) by the first
+session, and by a later one that asks for more workers; each session sends
+them its setup as a first frame. ``BsfExecutor(backend, p_workers).run(workload)``
+is the farm's only entry point.
 
 Workload protocol (duck-typed):
 
@@ -36,16 +35,14 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 import os
 import pickle
 import statistics
 import struct
-import sys
+import threading
 import time
 import traceback
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +56,8 @@ ORDER_FRAME = b"O"
 PING_FRAME = b"P"
 RESULT_FRAME = b"R"
 ERROR_FRAME = b"E"
+SETUP_FRAME = b"S"
+END_FRAME = b"D"
 
 
 class BsfWorkerError(RuntimeError):
@@ -164,7 +163,9 @@ def metrics_from_csv(path) -> list[RunMetrics]:
 # A worker echoes a PING frame and answers an ORDER with a RESULT frame: its
 # t_v (u64 ns) and pickled bests, per cohort the winning marker's offset and
 # value, which the master turns back into a point on its own cross. The pipe
-# names the worker, which lives until the master closes that pipe.
+# names the worker, which lives until the master closes that pipe. A session
+# opens with a SETUP frame (u32 worker id | u32 count | count x u32 cohort |
+# the pickled setup) and closes with a one-byte END frame.
 
 
 def _pairs_to_bytes(idx: np.ndarray, vals: np.ndarray) -> bytes:
@@ -300,22 +301,30 @@ def _run_sim(workload, setup, partition, latency_ns: float):
 # --- worker pool ------------------------------------------------------------
 
 
-def _worker_main(conn, worker_id: int, cohorts) -> None:
+def _worker_main(conn) -> None:
+    """A pool worker: it serves one session after another until the master
+    closes its pipe. A SETUP frame replaces its setup and state, and an END
+    frame drops them, so an idle worker keeps no session's data."""
+    setup = state = None
     try:
-        setup = pickle.loads(conn.recv_bytes())
-        state = setup.init_state(worker_id, tuple(cohorts))
         while True:
             msg = conn.recv_bytes()
             tag = msg[:1]
             if tag == ORDER_FRAME:
                 t0 = time.perf_counter_ns()
-                order = order_from_bytes(msg[1:])
-                state, bests = setup.process_order(state, order)
+                state, bests = setup.process_order(state, order_from_bytes(msg[1:]))
                 t_v = time.perf_counter_ns() - t0
                 payload = pickle.dumps(tuple(bests), protocol=pickle.HIGHEST_PROTOCOL)
                 conn.send_bytes(RESULT_FRAME + struct.pack("<Q", t_v) + payload)
             elif tag == PING_FRAME:
                 conn.send_bytes(PING_FRAME)
+            elif tag == SETUP_FRAME:
+                worker_id, count = struct.unpack_from("<II", msg, 1)
+                cohorts = struct.unpack_from(f"<{count}I", msg, 9)
+                setup = pickle.loads(memoryview(msg)[9 + 4 * count:])
+                state = setup.init_state(worker_id, cohorts)
+            elif tag == END_FRAME:
+                setup = state = None
             else:
                 raise RuntimeError(f"unknown frame tag {tag!r}")
     except EOFError:  # the master closed the pipe: stop
@@ -329,75 +338,28 @@ def _worker_main(conn, worker_id: int, cohorts) -> None:
         conn.close()
 
 
-def _server_may_run_main(namespace: dict) -> bool:
-    """Whether the fork server may run the driver's top level: when every
-    module bound in its ``namespace`` (each module by its name, each
-    function or class by its ``__module__``, ``__main__`` for the driver's
-    own) is standard-library, numpy, nslp or the driver itself. Other
-    modules may start threads or fail with more than the ``ImportError`` a
-    fork server forgives, which would fork workers from a threaded server
-    or kill it."""
-    known = sys.stdlib_module_names | {"numpy", "nslp", "__main__"}
-    for value in namespace.values():
-        if isinstance(value, types.ModuleType):
-            name = value.__name__
-        elif isinstance(value, (type, types.FunctionType, types.BuiltinFunctionType)):
-            name = value.__module__
-        else:
-            continue
-        if isinstance(name, str) and name.partition(".")[0] not in known:
-            return False
-    return True
-
-
-# the master's hand-off to ``nslp._server_main``: set only while a pool may
-# start the fork server, and popped by the server as it reads it
-_SERVER_MAIN_VAR = "_NSLP_FORKSERVER_MAIN"
-
-
-@functools.cache
-def _hand_off() -> str | None:
-    """The hand-off, worked out once per process: the driver script's path
-    and the master's ``sys.argv`` and ``sys.path`` when the server may run
-    its top level (``_server_may_run_main``; never under ``python -m``),
-    otherwise None."""
-    from multiprocessing import spawn
-
-    data = spawn.get_preparation_data("forkserver")
-    main_path = data.get("init_main_from_path")
-    if main_path is None or not _server_may_run_main(vars(sys.modules["__main__"])):
-        return None
-    return json.dumps([main_path, data["sys_argv"], data["sys_path"]], default=os.fspath)
-
-
 @functools.cache
 def _pool_context():
-    """The start method of every pool in this process: one fork server,
-    started by the first pool (which pays the server's start, about 0.3 s
-    for a fresh interpreter importing numpy and nslp), that forks each
-    worker with numpy, nslp and ``multiprocessing.popen_forkserver`` already
-    loaded (a worker's pipe ends arrive pickled as that module's ``_DupFd``,
-    so without it every worker would import it before its first order).
-    With a hand-off (``_hand_off``) each server, a restarted one too,
-    runs the driver's top level once, as ``__mp_main__``, and the workers it
-    forks find it done. Any other driver, or one whose top level raises in
-    the server (a driver without a ``__main__`` guard starts a pool there,
-    which multiprocessing refuses), is run again by each worker as it
-    starts. Either way the top level runs outside the master, so a driver
-    needs a ``__main__`` guard. The server is stopped and reaped when this
-    process exits. Each pool measures ``L`` once per start, before the first
-    order: the median of ``BsfExecutor.latency_rounds`` (64 by default)
-    one-byte round trips to worker 0, halved."""
+    """The start method of the process's pool: one fork server, started by
+    the first session (about 0.3 s for a fresh interpreter importing numpy
+    and nslp), that forks each worker with numpy, nslp and
+    ``multiprocessing.popen_forkserver`` already loaded (a worker's pipe
+    ends arrive pickled as that module's ``_DupFd``). A worker runs a
+    script driver's top level once, as ``__mp_main__``, as it starts, so a
+    driver needs a ``__main__`` guard; a worker lives for the process, so
+    that cost is paid once per worker. At exit the workers stop on EOF,
+    then the server is stopped and reaped."""
     import multiprocessing as mp
-    from multiprocessing import forkserver, util
+    from multiprocessing import forkserver, spawn, util
 
-    # first: in a process still bootstrapping (a worker or the server running
-    # an unguarded driver) this raises before any process starts
-    _hand_off()
+    # first: in a process still bootstrapping (a worker running a driver
+    # without a __main__ guard) this raises before any process starts
+    spawn._check_not_importing_main()
     ctx = mp.get_context("forkserver")
-    ctx.set_forkserver_preload(
-        ["numpy", "nslp", "multiprocessing.popen_forkserver", "nslp._server_main"])
-    # priority < 0 runs after multiprocessing has joined the live children
+    ctx.set_forkserver_preload(["numpy", "nslp", "multiprocessing.popen_forkserver"])
+    # priority >= 0 runs before multiprocessing terminates the daemonic
+    # children left alive, < 0 after it has joined them
+    util.Finalize(None, _discard_pool, exitpriority=0)
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     return ctx
 
@@ -407,29 +369,24 @@ _SERVER_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "P
 
 @contextlib.contextmanager
 def _server_environ():
-    """The fork server's environment, hand-off included, set in this process
-    only while a pool starts, since ``ensure_running()`` and each
-    ``Process.start()`` start a server that is not running. The caller's
-    values come back afterwards, except the hand-off, which is removed
-    whatever the caller had set. Workers inherit the server's environment,
-    not the master's: their math runs on one BLAS thread (deterministic
-    reductions, no oversubscription underneath the process-level
-    parallelism), and the server, which does not take the master's
-    sys.path, finds this nslp unless it sits in a site directory a fresh
-    interpreter searches anyway."""
+    """The fork server's environment, set in this process only while the
+    pool grows, since ``ensure_running()`` and each ``Process.start()``
+    start a server that is not running; the caller's values come back
+    afterwards. Workers inherit the server's environment, not the master's:
+    their math runs on one BLAS thread (deterministic reductions, no
+    oversubscription underneath the process-level parallelism), and the
+    server, which does not take the master's sys.path, finds this nslp
+    unless it sits in a site directory a fresh interpreter searches
+    anyway."""
     saved = {var: os.environ.get(var) for var in _SERVER_VARS}
     for var in _SERVER_VARS[:3]:
         os.environ.setdefault(var, "1")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if os.path.basename(root) not in ("site-packages", "dist-packages"):
         os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [root, saved["PYTHONPATH"]]))
-    os.environ.pop(_SERVER_MAIN_VAR, None)
-    if (handoff := _hand_off()) is not None:
-        os.environ[_SERVER_MAIN_VAR] = handoff
     try:
         yield
     finally:
-        os.environ.pop(_SERVER_MAIN_VAR, None)
         for var, value in saved.items():
             if value is None:
                 os.environ.pop(var, None)
@@ -438,43 +395,42 @@ def _server_environ():
 
 
 class _Pool:
-    """Worker processes forked by the fork server, one duplex pipe each.
-    Every start or pipe error on the master side surfaces as
-    ``BsfWorkerError``."""
+    """Worker processes forked by the fork server, one duplex pipe each,
+    numbered in start order. Every start or pipe error on the master side
+    surfaces as ``BsfWorkerError``."""
 
-    def __init__(self, partition, setup):
-        from multiprocessing import forkserver
-
-        ctx = _pool_context()
+    def __init__(self):
         self.conns = []
         self.procs = []
-        try:
+
+    def begin(self, partition, setup) -> None:
+        """Start the workers the session lacks, then send worker ``w`` its
+        SETUP frame: its id, its cohorts and the setup, pickled once. The
+        setup goes out once all have started, so they boot side by side and
+        one that dies at bootstrap breaks its pipe instead of blocking the
+        master."""
+        if len(self.procs) < len(partition):
+            from multiprocessing import forkserver
+
+            ctx = _pool_context()
             with _server_environ():
                 try:
                     forkserver.ensure_running()
                 except OSError as exc:
                     raise BsfWorkerError(f"fork server did not start: {exc!r}") from exc
-                for w, part in enumerate(partition):
+                for w in range(len(self.procs), len(partition)):
                     try:
                         parent, child = ctx.Pipe(duplex=True)
                         self.conns.append(parent)
                         with child:  # the worker's end, sent to the server by start()
-                            proc = ctx.Process(target=_worker_main,
-                                               args=(child, w, tuple(part)), daemon=True)
+                            proc = ctx.Process(target=_worker_main, args=(child,), daemon=True)
                             proc.start()
                     except (EOFError, OSError) as exc:
                         raise BsfWorkerError(f"worker {w} did not start: {exc!r}") from exc
                     self.procs.append(proc)
-            # the setup goes out as each worker's first frame once all have
-            # started: start() stays cheap, the workers boot side by side, and
-            # a child that dies at bootstrap breaks its pipe instead of
-            # blocking the master
-            blob = pickle.dumps(setup, protocol=pickle.HIGHEST_PROTOCOL)
-            for w in range(len(self.conns)):
-                self.send(w, blob)
-        except BaseException:
-            self.shutdown()
-            raise
+        blob = pickle.dumps(setup, protocol=pickle.HIGHEST_PROTOCOL)
+        for w, part in enumerate(partition):
+            self.send(w, SETUP_FRAME + struct.pack(f"<II{len(part)}I", w, len(part), *part) + blob)
 
     def _exit_code(self, w: int):
         self.procs[w].join(timeout=1)
@@ -520,13 +476,57 @@ class _Pool:
                 proc.join(timeout=5)
 
 
+# the process's pool, kept between sessions, and the lock a session holds
+_live_pool: _Pool | None = None
+_session_lock = threading.Lock()
+
+
+def _discard_pool() -> None:
+    """Stop the process's pool, if there is one; the next session starts a
+    new one."""
+    global _live_pool
+    pool, _live_pool = _live_pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
+@contextlib.contextmanager
+def _session(partition, setup):
+    """The process's pool for one session of ``len(partition)`` workers
+    (``_Pool.begin``), which are sent an END frame when the session ends; a
+    session of fewer workers than the pool has uses the first ones. A pool
+    with a worker that died or wrote while idle is replaced first, and any
+    exception in the session discards the pool, so the next session starts
+    clean. A session that finds the pool busy raises at once, since two
+    threads must never share its pipes."""
+    global _live_pool
+    if not _session_lock.acquire(blocking=False):
+        raise RuntimeError("the worker pool is already running a session")
+    try:
+        if _live_pool is not None and any(conn.poll() for conn in _live_pool.conns):
+            _discard_pool()
+        if _live_pool is None:
+            _live_pool = _Pool()
+        pool = _live_pool
+        pool.begin(partition, setup)
+        yield pool
+        for w in range(len(partition)):
+            pool.send(w, END_FRAME)
+    except BaseException:
+        _discard_pool()
+        raise
+    finally:
+        _session_lock.release()
+
+
 def _run_pool(workload, setup, partition, latency_rounds: int):
-    """Pipe exchange; the metrics are measured on the master."""
+    """Pipe exchange on the process's pool; the metrics are measured on the
+    master. ``L`` is measured before the first order: the median of
+    ``latency_rounds`` one-byte round trips to worker 0, halved."""
     from multiprocessing.connection import wait
 
     p_workers = len(partition)
-    pool = _Pool(partition, setup)
-    try:
+    with _session(partition, setup) as pool:
         latency = pool.ping_latency_ns(latency_rounds)
         send_ns, recv_ns = [], []
         tv_by_worker = [[] for _ in range(p_workers)]
@@ -568,8 +568,6 @@ def _run_pool(workload, setup, partition, latency_rounds: int):
             iterations=len(iter_ns),
         )
         return workload.finalize(), metrics
-    finally:
-        pool.shutdown()
 
 
 BACKENDS = ("sequential-sim", "worker-pool")

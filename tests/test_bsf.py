@@ -1,4 +1,3 @@
-import builtins
 import errno
 import json
 import math
@@ -8,10 +7,10 @@ import pickle
 import re
 import subprocess
 import sys
+import signal
 import textwrap
 import threading
 import time
-import types
 from multiprocessing.context import ForkServerProcess
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from nslp import (BsfExecutor, BsfWorkerError, Cross, DriftSpec, NonStationaryLP
                   Order, SparseDelta, apply_delta, block_partition, evaluate,
                   make_order, model_n, model_n_optimum, order_from_bytes,
                   order_to_bytes, process_cohorts, run_targeting, snapshot)
-from nslp.bsf import (RunMetrics, WorkerResult, _Pool, _pool_context, _server_may_run_main,
+from nslp.bsf import (RunMetrics, WorkerResult, _Pool, _pool_context, _session,
                       metrics_from_csv, metrics_to_csv)
 from nslp.lp import EMPTY_DELTA
 from nslp.targeting import (CohortBest, TargetingConfig, TargetingState, TargetingWorkerSetup,
@@ -92,6 +91,24 @@ class FailingInitSetup(FailingSetup):
 class FailingInitWorkload(FailingWorkload):
     def init(self, p_workers, partition):
         return FailingInitSetup()
+
+
+class Dropped:
+    """A worker state that creates the file ``path`` when it is freed."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __del__(self):
+        open(self.path, "w").close()
+
+
+class DropSetup(TrivialSetup):
+    def __init__(self, folder):
+        self.folder = folder
+
+    def init_state(self, worker_id, cohorts):
+        return Dropped(self.folder / str(worker_id))
 
 
 # --- partitioning -----------------------------------------------------------
@@ -407,7 +424,15 @@ def test_init_state_failure_raises_worker_error_with_its_message():
     assert "synthetic init fault" in str(_pool_failure(FailingInitWorkload()))
 
 
-def test_failed_setup_send_stops_the_started_workers(monkeypatch):
+@pytest.fixture
+def no_pool():
+    """Start and end the test with no live pool in this process."""
+    nslp.bsf._discard_pool()
+    yield
+    nslp.bsf._discard_pool()
+
+
+def test_failed_setup_send_stops_the_started_workers(monkeypatch, no_pool):
     real_send = _Pool.send
 
     def send(self, w, msg):
@@ -417,41 +442,45 @@ def test_failed_setup_send_stops_the_started_workers(monkeypatch):
 
     monkeypatch.setattr(_Pool, "send", send)
     with pytest.raises(BsfWorkerError, match="synthetic send fault"):
-        _Pool([[0], [1]], TrivialSetup())
+        with _session([[0], [1]], TrivialSetup()):
+            pass
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fault", [EOFError, OSError])
-def test_failed_worker_start_stops_the_started_workers(monkeypatch, fault):
+def test_failed_worker_start_stops_the_started_workers(monkeypatch, no_pool, fault):
     # a dead or unreachable fork server fails Process.start() this way
     real_start = ForkServerProcess.start
+    started = []
 
     def start(self):
-        if self._args[1] == 1:  # _worker_main(conn, worker_id, cohorts)
+        if started:
             raise fault("synthetic fork server fault")
+        started.append(self)
         real_start(self)
 
     monkeypatch.setattr(ForkServerProcess, "start", start)
     with pytest.raises(BsfWorkerError, match="worker 1 did not start.*synthetic fork server"):
-        _Pool([[0], [1]], TrivialSetup())
+        with _session([[0], [1]], TrivialSetup()):
+            pass
     assert multiprocessing.active_children() == []
 
 
-def test_failed_fork_server_start_raises_worker_error(monkeypatch):
-    # the first pool in a process starts the server before any worker
+def test_failed_fork_server_start_raises_worker_error(monkeypatch, no_pool):
+    # a session that starts workers first makes sure the server runs
     from multiprocessing import forkserver
 
     def ensure_running():
         raise OSError(errno.EMFILE, "synthetic: too many open files")
 
     monkeypatch.setattr(forkserver, "ensure_running", ensure_running)
-    _pool_context.cache_clear()
     with pytest.raises(BsfWorkerError, match="fork server did not start.*too many open files"):
-        _Pool([[0]], TrivialSetup())
+        with _session([[0]], TrivialSetup()):
+            pass
     assert multiprocessing.active_children() == []
 
 
-def test_failed_pipe_stops_the_started_workers(monkeypatch):
+def test_failed_pipe_stops_the_started_workers(monkeypatch, no_pool):
     # a process out of file descriptors fails the second worker's Pipe()
     ctx = _pool_context()
     real_pipe = ctx.Pipe
@@ -471,17 +500,80 @@ def test_failed_pipe_stops_the_started_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_closing_the_pipes_stops_every_worker():
+def test_closing_the_pipes_stops_every_worker(no_pool):
     # a worker's only stop is the EOF on its pipe; a worker that missed it
     # would be joined for 10 s and then terminated, with a negative exit code
-    pool = _Pool([[0], [1]], TrivialSetup())
-    try:
+    with _session([[0], [1]], TrivialSetup()) as pool:
         assert pool.ping_latency_ns(3) > 0.0
-    finally:
-        t0 = time.monotonic()
-        pool.shutdown()
+    t0 = time.monotonic()
+    nslp.bsf._discard_pool()
     assert time.monotonic() - t0 < 10.0
     assert [proc.exitcode for proc in pool.procs] == [0, 0]
+    assert multiprocessing.active_children() == []
+
+
+def test_an_idle_worker_keeps_no_state_of_its_last_session(no_pool, tmp_path):
+    with _session([[0], [1]], DropSetup(tmp_path)) as pool:
+        assert pool.ping_latency_ns(1) > 0.0
+        assert list(tmp_path.iterdir()) == []
+    for w in range(2):  # answered after the session's END frame
+        pool.send(w, nslp.bsf.PING_FRAME)
+        assert pool.recv(w) == nslp.bsf.PING_FRAME
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
+
+
+def _pool_pids():
+    return [proc.pid for proc in nslp.bsf._live_pool.procs]
+
+
+def _tracking_inputs():
+    n = 6
+    problem = NonStationaryLP(base=model_n(n), drift=DriftSpec(
+        kind="random-sparse", delta=0.2, magnitude=0.5, seed=5))
+    return problem, _near_optimum_start(n), TargetingConfig(points_per_cohort=4, spacing=0.25)
+
+
+def test_sessions_of_one_two_and_one_workers_match_the_simulator(no_pool):
+    problem, z, cfg = _tracking_inputs()
+    pids = []
+    for p_workers in (1, 2, 1):
+        sim = run_targeting(problem, z, cfg, 8, BsfExecutor("sequential-sim", p_workers))
+        pool = run_targeting(problem, z, cfg, 8,
+                             BsfExecutor("worker-pool", p_workers, latency_rounds=5))
+        assert pool.csv_text() == sim.csv_text()
+        pids.append(_pool_pids())
+    # the second session starts worker 1 only; the third uses worker 0 alone
+    assert len(pids[0]) == 1 and pids[1][:1] == pids[0] and pids[2] == pids[1]
+    assert len(set(pids[1])) == 2
+
+
+def test_a_failed_session_or_a_dead_idle_worker_gives_the_next_session_new_workers(no_pool):
+    problem, z, cfg = _tracking_inputs()
+    sim = run_targeting(problem, z, cfg, 8, BsfExecutor("sequential-sim", 2)).csv_text()
+
+    def session():
+        trace = run_targeting(problem, z, cfg, 8, BsfExecutor("worker-pool", 2, latency_rounds=5))
+        assert trace.csv_text() == sim
+        return _pool_pids()
+
+    first = session()
+    with pytest.raises(BsfWorkerError, match="synthetic worker fault"):
+        BsfExecutor("worker-pool", 2, latency_rounds=5).run(FailingWorkload())
+    after_error = session()
+    assert not set(after_error) & set(first)
+    idle = nslp.bsf._live_pool.procs[1]
+    os.kill(idle.pid, signal.SIGKILL)
+    idle.join(timeout=10)
+    assert idle.exitcode == -signal.SIGKILL
+    after_kill = session()
+    assert not set(after_kill) & set(after_error)
+
+
+def test_a_session_that_finds_the_pool_busy_raises_at_once(no_pool):
+    # two threads must never share the pipes; the lock is another session's
+    with nslp.bsf._session_lock:
+        with pytest.raises(RuntimeError, match="already running a session"):
+            BsfExecutor("worker-pool", 1).run(FailingWorkload())
     assert multiprocessing.active_children() == []
 
 
@@ -496,195 +588,186 @@ def _run_driver(*argv, env=os.environ):
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+_PROBE_DRIVER = """\
+import json, os, signal, sys, time
+if {src!r} not in sys.path:  # a worker starts with the master's sys.path
+    sys.path.insert(1, {src!r})
+import numpy as np
+from nslp import BsfExecutor, Order, SparseDelta, bsf
+{imports}
+with open(sys.argv[1], "a") as fh:
+    fh.write(f"{{os.getpid()}}\\n")
+ARGV, FILE, PATH = sys.argv[1:], __file__, list(sys.path)
+CHECKED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "PYTHONPATH")
+
+# each worker runs this top level too, so it installs its own hook
+imported = []
+
+
+def record_import(event, args):
+    if event == "import":
+        imported.append((os.getpid(), args[0]))
+
+
+sys.addaudithook(record_import)
+
+
+def view():
+    return {{"pid": os.getpid(), "ppid": os.getppid(), "argv": ARGV, "file": FILE,
+             "path": PATH, "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+             "imported": [name for pid, name in imported if pid == os.getpid()]}}
+
+
+class ProbeSetup:
+    def init_state(self, worker_id, cohorts):
+        return None
+
+    def process_order(self, state, order):
+        return None, [view()]
+
+
+class ProbeWorkload:
+    cohort_count = 2
+
+    def init(self, p_workers, partition):
+        return ProbeSetup()
+
+    def make_order(self):
+        return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
+
+    def merge_results(self, results):
+        return [r.bests[0] for r in results]
+
+    def evaluate(self, merged):
+        self.seen = merged
+
+    def exit_check(self):
+        return True
+
+    def finalize(self):
+        return self.seen
+
+
+if __name__ == "__main__":
+    before, runs = dict(os.environ), []
+    for i in range(int(sys.argv[2])):
+        seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(ProbeWorkload())
+        runs.append(seen)
+        if i == 0 and sys.argv[3] == "kill":
+            from multiprocessing.forkserver import _forkserver
+            os.kill(seen[0]["pid"], signal.SIGKILL)
+            bsf._live_pool.conns[0].poll(10)  # its end of the pipe closed
+            os.kill(_forkserver._forkserver_pid, signal.SIGKILL)
+            # wait for its exit but leave the reaping to the restart
+            os.waitid(os.P_PID, _forkserver._forkserver_pid, os.WEXITED | os.WNOWAIT)
+    after = dict(os.environ)
+    with open(sys.argv[1]) as fh:
+        top_level = [int(pid) for pid in fh]
+    print(json.dumps({{
+        "master": view(), "runs": runs, "top_level": top_level,
+        "env_before": {{var: before.get(var) for var in CHECKED}},
+        "env_after": {{var: after.get(var) for var in CHECKED}},
+        "others_equal": {{k: v for k, v in before.items() if k not in CHECKED}}
+        == {{k: v for k, v in after.items() if k not in CHECKED}},
+        "returned": time.monotonic()}}))
+"""
+
+
+def _probe(tmp_path, *args, sessions=1, kill=False, imports="", drop=()):
+    """Run a driver, in a fresh process whose environment lacks the
+    variables in ``drop``, that makes ``sessions`` 2-worker pool runs
+    (``kill``: then SIGKILLs worker 0 and the fork server after the first).
+    Each worker reports its pid and parent pid, its view of the driver's
+    ``sys.argv[1:]``, ``__file__`` and ``sys.path``, its
+    OPENBLAS_NUM_THREADS and the modules it imported itself. Returns that,
+    the master's view, the pids that ran the top level, the driver's BLAS
+    variables and PYTHONPATH before and after, whether every other variable
+    stayed equal, and ``exit_s``, the seconds from its return to the end of
+    its last process (each of which holds its stdout)."""
+    script = tmp_path / "driver.py"
+    src = str(Path(nslp.__file__).resolve().parents[1])
+    script.write_text(_PROBE_DRIVER.format(src=src, imports=imports))
+    done = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "top_level.pids"), str(sessions),
+         "kill" if kill else "-", *args],
+        env={k: v for k, v in os.environ.items() if k not in drop},
+        capture_output=True, text=True, timeout=60)
+    ended = time.monotonic()
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    return {**report, "exit_s": ended - report["returned"]}
+
 
 @pytest.fixture(scope="module")
 def two_pool_runs(tmp_path_factory):
-    """A driver, started without the BLAS variables, makes two pool runs.
-    Per run: the driver's pid, each worker's (parent pid,
-    OPENBLAS_NUM_THREADS, modules it imported itself) and the pids of the
-    processes that have run the driver's top level so far."""
-    probe = tmp_path_factory.mktemp("probe")
-    script = probe / "driver.py"
-    script.write_text(textwrap.dedent("""\
-        import json, os, sys
-        import numpy as np
-        from nslp import BsfExecutor, Order, SparseDelta
-
-        with open(sys.argv[1], "a") as fh:
-            fh.write(f"{os.getpid()}\\n")
-
-        # the fork server runs this top level, so every worker inherits the hook
-        imported = []
-
-        def record_import(event, args):
-            if event == "import":
-                imported.append((os.getpid(), args[0]))
-
-        sys.addaudithook(record_import)
-
-        class ProbeSetup:
-            def init_state(self, worker_id, cohorts):
-                return None
-
-            def process_order(self, state, order):
-                mine = [name for pid, name in imported if pid == os.getpid()]
-                return None, (os.getppid(), os.environ.get("OPENBLAS_NUM_THREADS"), mine)
-
-        class ProbeWorkload:
-            cohort_count = 2
-
-            def init(self, p_workers, partition):
-                return ProbeSetup()
-
-            def make_order(self):
-                return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
-
-            def merge_results(self, results):
-                return [list(r.bests) for r in results]
-
-            def evaluate(self, merged):
-                self.seen = merged
-
-            def exit_check(self):
-                return True
-
-            def finalize(self):
-                return self.seen
-
-        if __name__ == "__main__":
-            for _ in range(2):
-                pool = BsfExecutor("worker-pool", 2, latency_rounds=1)
-                seen, _ = pool.run(ProbeWorkload())
-                with open(sys.argv[1]) as fh:
-                    top_level = [int(pid) for pid in fh]
-                print(json.dumps({"master": os.getpid(), "workers": seen,
-                                  "top_level": top_level}), flush=True)
-        """))
-    done = _run_driver(script, probe / "top_level.pids",
-                       env={k: v for k, v in os.environ.items() if k not in _BLAS_VARS})
-    assert done.returncode == 0, done.stderr
-    return [json.loads(line) for line in done.stdout.splitlines()]
+    """Two pool runs of a driver started without the BLAS variables and
+    PYTHONPATH, which returns with the pool idle."""
+    return _probe(tmp_path_factory.mktemp("probe"), sessions=2, drop=(*_BLAS_VARS, "PYTHONPATH"))
 
 
 def test_one_fork_server_per_process_is_gone_at_exit(two_pool_runs):
-    assert len(two_pool_runs) == 2
-    servers = {ppid for run in two_pool_runs for ppid, *_ in run["workers"]}
-    assert len(servers) == 1, two_pool_runs
+    runs = two_pool_runs["runs"]
+    assert len(runs) == 2
+    servers = {worker["ppid"] for run in runs for worker in run}
+    assert len(servers) == 1, runs
     (server,) = servers
-    assert server != two_pool_runs[0]["master"]
+    assert server != two_pool_runs["master"]["pid"]
     # stopped and reaped by the driver itself, not left as a zombie
     with pytest.raises(ProcessLookupError):
         os.kill(server, 0)
 
 
-def test_fork_server_runs_the_driver_top_level_for_every_worker(two_pool_runs):
-    # the master and the server run it; the four workers forked from the
-    # server find it done, and ProbeSetup, defined there, still unpickles
-    (server,) = {ppid for run in two_pool_runs for ppid, *_ in run["workers"]}
-    assert sorted(two_pool_runs[-1]["top_level"]) == sorted([two_pool_runs[0]["master"], server])
+def test_a_driver_that_returns_with_the_pool_idle_leaves_no_process(two_pool_runs):
+    # the workers stop on the EOF of their pipes, then the server
+    assert two_pool_runs["exit_s"] < 5.0
+    for run in two_pool_runs["runs"]:
+        for worker in run:
+            with pytest.raises(ProcessLookupError):
+                os.kill(worker["pid"], 0)
+
+
+def test_sessions_reuse_the_workers_and_each_runs_the_driver_once(two_pool_runs):
+    # the master and each worker run the top level, the server never
+    first, second = ([worker["pid"] for worker in run] for run in two_pool_runs["runs"])
+    assert first == second and len(set(first)) == 2
+    assert sorted(two_pool_runs["top_level"]) == sorted([two_pool_runs["master"]["pid"], *first])
 
 
 def test_pool_workers_run_one_blas_thread(two_pool_runs):
     # byte-identical traces rely on single-threaded reductions in the workers
-    assert {blas for run in two_pool_runs for _, blas, _ in run["workers"]} == {"1"}
+    assert {worker["blas"] for run in two_pool_runs["runs"] for worker in run} == {"1"}
 
 
 def test_pool_workers_import_nothing_before_their_first_order(two_pool_runs):
     # the server preloads what unpickling a worker's process object needs
     # (its pipe ends arrive as multiprocessing.popen_forkserver._DupFd), and
     # it ignores an ImportError in a preload, so only this sees a wrong name
-    assert [mods for run in two_pool_runs for *_, mods in run["workers"]] == [[]] * 4
+    assert [worker["imported"] for run in two_pool_runs["runs"] for worker in run] == [[]] * 4
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["one-server", "restarted-server"])
 def server_kill_runs(request, tmp_path_factory):
-    """A driver, started without the BLAS variables and PYTHONPATH, makes two
-    2-worker pool runs, and with the ``restarted-server`` param SIGKILLs the
-    fork server after each, so the second pool restarts it. Returns the
-    driver's environment before and after, each worker's (parent pid,
-    OPENBLAS_NUM_THREADS), the master's pid and the pids of the processes
-    that ran the driver's top level."""
-    tmp_path = tmp_path_factory.mktemp("kill")
-    script = tmp_path / "driver.py"
-    script.write_text(textwrap.dedent("""\
-        import json, os, signal, sys
-        sys.path.insert(0, sys.argv[1])
-        import numpy as np
-        from nslp import BsfExecutor, Order, SparseDelta
-
-        with open(sys.argv[3], "a") as fh:
-            fh.write(f"{os.getpid()}\\n")
-
-        class BlasSetup:
-            def init_state(self, worker_id, cohorts):
-                return None
-
-            def process_order(self, state, order):
-                return None, ((os.getppid(), os.environ.get("OPENBLAS_NUM_THREADS")),)
-
-        class BlasWorkload:
-            cohort_count = 2
-
-            def init(self, p_workers, partition):
-                return BlasSetup()
-
-            def make_order(self):
-                return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
-
-            def merge_results(self, results):
-                return [b for r in results for b in r.bests]
-
-            def evaluate(self, merged):
-                self.seen = merged
-
-            def exit_check(self):
-                return True
-
-            def finalize(self):
-                return self.seen
-
-        if __name__ == "__main__":
-            before, workers = dict(os.environ), []
-            for _ in range(2):
-                seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(BlasWorkload())
-                workers += seen
-                if sys.argv[2] == "True":
-                    from multiprocessing.forkserver import _forkserver
-                    os.kill(_forkserver._forkserver_pid, signal.SIGKILL)
-                    # wait for its exit but leave the reaping to the restart
-                    os.waitid(os.P_PID, _forkserver._forkserver_pid, os.WEXITED | os.WNOWAIT)
-            print(json.dumps({"before": before, "after": dict(os.environ), "workers": workers,
-                              "master": os.getpid()}))
-        """))
-    env = {k: v for k, v in os.environ.items() if k not in (*_BLAS_VARS, "PYTHONPATH")}
-    src = str(Path(nslp.__file__).resolve().parents[1])
-    pids = tmp_path / "top_level.pids"
-    done = subprocess.run([sys.executable, str(script), src, str(request.param), pids], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    run = json.loads(done.stdout)
-    run["top_level"] = [int(pid) for pid in pids.read_text().split()]
-    return {**run, "killed": request.param}
+    """``two_pool_runs``, or with ``restarted-server`` the same driver
+    SIGKILLing worker 0 and the fork server after its first run, so the
+    second starts a new pool and server."""
+    if not request.param:
+        return {**request.getfixturevalue("two_pool_runs"), "killed": False}
+    return {**_probe(tmp_path_factory.mktemp("kill"), sessions=2, kill=True,
+                     drop=(*_BLAS_VARS, "PYTHONPATH")), "killed": True}
 
 
 def test_pool_runs_leave_the_drivers_environment_as_it_was(server_kill_runs):
     # the fork server gets one BLAS thread and this nslp on PYTHONPATH only
-    # while it may start, which includes the restart the second pool's first
-    # Process.start() makes after the server was killed; the driver, started
-    # without those four variables, finds nslp through its own sys.path
+    # while it may start, which includes the restart the second run makes
+    # after the server and a worker were killed; the driver, started without
+    # those four variables, finds nslp through its own sys.path
     run = server_kill_runs
-    assert run["after"] == run["before"]
-    assert not set(run["before"]) & {*_BLAS_VARS, "PYTHONPATH"}
-    assert [blas for _, blas in run["workers"]] == ["1"] * 4
-
-
-def test_every_fork_server_runs_the_driver_top_level_for_its_workers(server_kill_runs):
-    # a restarted server gets the hand-off too: the top level runs in the
-    # master and once in each server, never in a worker
-    run = server_kill_runs
-    servers = {ppid for ppid, _ in run["workers"]}
-    assert len(servers) == (2 if run["killed"] else 1)
-    assert sorted(run["top_level"]) == sorted([run["master"], *servers])
+    assert run["env_after"] == run["env_before"]
+    assert run["others_equal"]
+    assert set(run["env_before"].values()) == {None}
+    workers = [worker for seen in run["runs"] for worker in seen]
+    assert [worker["blas"] for worker in workers] == ["1"] * 4
+    assert len({worker["ppid"] for worker in workers}) == (2 if run["killed"] else 1)
 
 
 def test_driver_without_main_guard_fails_instead_of_hanging(tmp_path):
@@ -720,132 +803,24 @@ def test_cli_module_drives_the_pool(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["1", "2"]
 
 
-_ECHO_DRIVER = """\
-import json, os, sys
-import numpy as np
-from nslp import BsfExecutor, Order, SparseDelta
-{imports}
-with open(sys.argv[1], "a") as fh:
-    fh.write(f"{{os.getpid()}}\\n")
-ARGV, FILE, PATH = sys.argv[1:], __file__, list(sys.path)
-
-
-def view():
-    return {{"pid": os.getpid(), "argv": ARGV, "file": FILE, "path": PATH,
-             "handoff": "_NSLP_FORKSERVER_MAIN" in os.environ}}
-
-
-class EchoSetup:
-    def init_state(self, worker_id, cohorts):
-        return None
-
-    def process_order(self, state, order):
-        return None, [view()]
-
-
-class EchoWorkload:
-    cohort_count = 2
-
-    def init(self, p_workers, partition):
-        return EchoSetup()
-
-    def make_order(self):
-        return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
-
-    def merge_results(self, results):
-        return [r.bests[0] for r in results]
-
-    def evaluate(self, merged):
-        self.seen = merged
-
-    def exit_check(self):
-        return True
-
-    def finalize(self):
-        return self.seen
-
-
-if __name__ == "__main__":
-    seen, _ = BsfExecutor("worker-pool", 2, latency_rounds=1).run(EchoWorkload())
-    print(json.dumps({{"master": view(), "workers": seen}}))
-"""
-
-
-def _run_echo_driver(tmp_path, *args, imports="", env=os.environ):
-    """Run a driver whose top level appends its pid to a file and keeps its
-    ``sys.argv[1:]``, ``__file__`` and ``sys.path``; one 2-worker pool
-    reports each worker's view of them, its pid and whether the hand-off
-    variable is in its environment, beside the master's. Returns that report
-    and the pids that ran the top level."""
-    script = tmp_path / "driver.py"
-    script.write_text(_ECHO_DRIVER.format(imports=imports))
-    pids = tmp_path / "top_level.pids"
-    done = _run_driver(script, pids, *args, env=env)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout), [int(pid) for pid in pids.read_text().split()]
-
-
-def test_server_run_of_the_driver_sees_what_a_worker_run_saw(tmp_path):
-    run, _ = _run_echo_driver(tmp_path, "--flag", "two words", "")
+def test_each_workers_run_of_the_driver_sees_what_the_masters_saw(tmp_path):
+    run = _probe(tmp_path, "--flag", "two words", "")
     master = run["master"]
-    assert master["argv"] == [str(tmp_path / "top_level.pids"), "--flag", "two words", ""]
+    assert master["argv"] == [str(tmp_path / "top_level.pids"), "1", "-", "--flag", "two words",
+                              ""]
     assert master["file"] == str(tmp_path / "driver.py")
     assert master["path"][0] == str(tmp_path)
-    for worker in run["workers"]:
-        assert {**worker, "pid": master["pid"]} == master
+    for worker in run["runs"][0]:
+        assert [worker[key] for key in ("argv", "file", "path")] == \
+            [master[key] for key in ("argv", "file", "path")]
 
 
 def test_driver_with_a_sibling_import_is_run_by_each_worker(tmp_path):
     (tmp_path / "helper.py").write_text("TAG = 'sibling'\n")
-    run, top_level = _run_echo_driver(tmp_path, imports="import helper")
-    # the server leaves a driver alone once a module it cannot vouch for is bound
-    assert sorted(top_level) == sorted(view["pid"] for view in [run["master"], *run["workers"]])
-
-
-@pytest.mark.parametrize("imports, runs", [("", 2), ("import helper", 3)])
-def test_fork_server_hand_off_is_not_read_from_the_users_environment(tmp_path, imports, runs):
-    (tmp_path / "helper.py").write_text("TAG = 'sibling'\n")
-    decoy = tmp_path / "decoy"
-    decoy.mkdir()
-    (decoy / "driver.py").write_text("open(__file__ + '.ran', 'w').close()\n")
-    preset = json.dumps([str(decoy / "driver.py"), ["decoy"], sys.path])
-    run, top_level = _run_echo_driver(tmp_path, imports=imports,
-                                      env={**os.environ, "_NSLP_FORKSERVER_MAIN": preset})
-    # the real script ran, in the master and the server or each worker
-    assert len(top_level) == runs and run["master"]["pid"] in top_level
-    assert not (decoy / "driver.py.ran").exists()
-    # gone from the master after its first pool, and never in a worker
-    assert [view["handoff"] for view in [run["master"], *run["workers"]]] == [False] * 3
-
-
-def _driver_namespace():
-    namespace = {"__name__": "__main__", "__builtins__": builtins}
-    exec(textwrap.dedent("""\
-        import json, os
-        from json import dumps
-        from os import path
-        from pathlib import PurePath
-        from time import perf_counter
-        from nslp.cli import main
-        import numpy as np
-
-        def helper():
-            pass
-
-        class Probe:
-            pass
-        """), namespace)
-    return namespace
-
-
-@pytest.mark.parametrize("foreign", [types.ModuleType("helper"), pytest.raises,
-                                     pytest.MonkeyPatch],
-                         ids=["sibling-module", "third-party-function", "third-party-class"])
-def test_fork_server_runs_the_driver_only_over_known_imports(foreign):
-    namespace = _driver_namespace()
-    assert _server_may_run_main(namespace)
-    namespace["foreign"] = foreign
-    assert not _server_may_run_main(namespace)
+    run = _probe(tmp_path, imports="import helper")
+    # each worker runs the driver as it starts, on the master's sys.path
+    assert sorted(run["top_level"]) == sorted(
+        view["pid"] for view in [run["master"], *run["runs"][0]])
 
 
 def test_worker_count_validation(unit_square):
