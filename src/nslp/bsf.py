@@ -102,7 +102,12 @@ class RunMetrics:
     """Per-iteration cost parameters, averaged over the iterative process.
 
     Durations are nanoseconds. ``t_w_ns`` is always ``p_workers`` times the
-    mean per-worker order-execution time ``t_v_ns``.
+    mean per-worker order-execution time ``t_v_ns``. ``delivery_*`` (an
+    order's send by the master to its receipt by a worker) and ``return_*``
+    (a result's send by a worker to its receipt by the master) are the
+    median and 90th percentile over every worker's every order: the link as
+    each iteration met it, beside the hot ping's ``L``. Only the CSV's
+    seven fields survive ``metrics_from_csv``.
     """
 
     p_workers: int
@@ -115,6 +120,10 @@ class RunMetrics:
     iter_ns: float = 0.0
     t_v_spread_ns: float = 0.0
     iterations: int = 0
+    delivery_p50_ns: float = 0.0
+    delivery_p90_ns: float = 0.0
+    return_p50_ns: float = 0.0
+    return_p90_ns: float = 0.0
 
     CSV_HEADER = "P,L_ns,ts_ns,tv_ns,tr_ns,tp_ns,tw_ns"
 
@@ -161,8 +170,10 @@ def metrics_from_csv(path) -> list[RunMetrics]:
 #   u32 count_b | count_b x (u32 b index, f64 value)
 #   u32 count_c | count_c x (u32 c index, f64 value)
 # A worker echoes a PING frame and answers an ORDER with a RESULT frame: its
-# t_v (u64 ns) and pickled bests, per cohort the winning marker's offset and
-# value, which the master turns back into a point on its own cross. The pipe
+# t_v, its receipt of the order and its send of the result (three u64 ns,
+# the last two read from the host-wide perf_counter_ns clock) and pickled
+# bests, per cohort the winning marker's offset and value, which the master
+# turns back into a point on its own cross. The pipe
 # names the worker, which lives until the master closes that pipe. A session
 # opens with a SETUP frame (u32 worker id | u32 count | count x u32 cohort |
 # the pickled setup) and closes with a one-byte END frame.
@@ -267,7 +278,8 @@ _SIM_EVALUATE_NS = 10_000.0
 def _run_sim(workload, setup, partition, latency_ns: float):
     """In-process exchange: each frame is decoded once and the read-only
     ``Order`` goes to every worker. The metrics are closed-form charges: the
-    ``latency_ns`` given and the fixed ``_SIM_*`` costs."""
+    ``latency_ns`` given and the fixed ``_SIM_*`` costs. Nothing travels, so
+    delivery and return report that synthetic ``L`` too."""
     p_workers = len(partition)
     states = [setup.init_state(w, tuple(part)) for w, part in enumerate(partition)]
 
@@ -294,6 +306,10 @@ def _run_sim(workload, setup, partition, latency_ns: float):
                  + latency_ns + p_workers * _SIM_RECV_NS + _SIM_EVALUATE_NS),
         t_v_spread_ns=float(max(work_ns) - min(work_ns)),
         iterations=len(iter_ns),
+        delivery_p50_ns=latency_ns,
+        delivery_p90_ns=latency_ns,
+        return_p50_ns=latency_ns,
+        return_p90_ns=latency_ns,
     )
     return workload.finalize(), metrics
 
@@ -311,11 +327,12 @@ def _worker_main(conn) -> None:
             msg = conn.recv_bytes()
             tag = msg[:1]
             if tag == ORDER_FRAME:
-                t0 = time.perf_counter_ns()
+                t0 = time.perf_counter_ns()  # the order's receipt, and t_v's start
                 state, bests = setup.process_order(state, order_from_bytes(msg[1:]))
                 t_v = time.perf_counter_ns() - t0
                 payload = pickle.dumps(tuple(bests), protocol=pickle.HIGHEST_PROTOCOL)
-                conn.send_bytes(RESULT_FRAME + struct.pack("<Q", t_v) + payload)
+                stamps = struct.pack("<QQQ", t_v, t0, time.perf_counter_ns())
+                conn.send_bytes(RESULT_FRAME + stamps + payload)
             elif tag == PING_FRAME:
                 conn.send_bytes(PING_FRAME)
             elif tag == SETUP_FRAME:
@@ -397,11 +414,15 @@ def _server_environ():
 class _Pool:
     """Worker processes forked by the fork server, one duplex pipe each,
     numbered in start order. Every start or pipe error on the master side
-    surfaces as ``BsfWorkerError``."""
+    surfaces as ``BsfWorkerError``. ``latency`` is ``(rounds, L in ns)``
+    from the last ping of worker 0, or None before the first: ``L`` is a
+    constant of the link, so it lives as long as the pool, a grown pool
+    keeps it (worker 0 stays) and a replaced pool measures its own."""
 
     def __init__(self):
         self.conns = []
         self.procs = []
+        self.latency = None
 
     def begin(self, partition, setup) -> None:
         """Start the workers the session lacks, then send worker ``w`` its
@@ -519,23 +540,39 @@ def _session(partition, setup):
         _session_lock.release()
 
 
+def _median_p90(samples: list) -> tuple[float, float]:
+    """The median and the 90th percentile, interpolated as numpy's default
+    does; read with the standard library, since numpy's percentile imports
+    ``numpy.ma`` (0.9 MB more resident memory in the master)."""
+    if len(samples) < 2:  # statistics.quantiles wants two before Python 3.13
+        return float(samples[0]), float(samples[0])
+    p90 = statistics.quantiles(samples, n=10, method="inclusive")[-1]
+    return float(statistics.median(samples)), float(p90)
+
+
 def _run_pool(workload, setup, partition, latency_rounds: int):
     """Pipe exchange on the process's pool; the metrics are measured on the
-    master. ``L`` is measured before the first order: the median of
-    ``latency_rounds`` one-byte round trips to worker 0, halved."""
+    master. ``L`` is the median of ``latency_rounds`` one-byte round trips
+    to worker 0, halved, measured after the SETUP frames by a pool's first
+    session and by one that asks for another round count; the pool's other
+    sessions report the ``L`` it keeps."""
     from multiprocessing.connection import wait
 
     p_workers = len(partition)
     with _session(partition, setup) as pool:
-        latency = pool.ping_latency_ns(latency_rounds)
-        send_ns, recv_ns = [], []
+        if pool.latency is None or pool.latency[0] != latency_rounds:
+            pool.latency = (latency_rounds, pool.ping_latency_ns(latency_rounds))
+        latency = pool.latency[1]
+        send_ns, recv_ns, delivery_ns, return_ns = [], [], [], []
         tv_by_worker = [[] for _ in range(p_workers)]
 
         def exchange(frame: bytes) -> list[WorkerResult]:
             msg = ORDER_FRAME + frame
+            sent = []
             for w in range(p_workers):
                 t0 = time.perf_counter_ns()
                 pool.send(w, msg)
+                sent.append(t0)
                 send_ns.append(time.perf_counter_ns() - t0)
             results = [None] * p_workers
             pending = dict(zip(pool.conns, range(p_workers)))
@@ -544,17 +581,21 @@ def _run_pool(workload, setup, partition, latency_rounds: int):
                     w = pending.pop(conn)
                     t0 = time.perf_counter_ns()
                     reply = pool.recv(w)
-                    recv_ns.append(time.perf_counter_ns() - t0)
+                    t1 = time.perf_counter_ns()
+                    recv_ns.append(t1 - t0)
                     if reply[:1] != RESULT_FRAME:
                         raise BsfWorkerError(f"unexpected frame {reply[:1]!r} from worker {w}")
-                    (t_v,) = struct.unpack_from("<Q", reply, 1)
+                    t_v, arrived, departed = struct.unpack_from("<QQQ", reply, 1)
                     tv_by_worker[w].append(t_v)
-                    results[w] = WorkerResult(w, pickle.loads(reply[9:]))
+                    delivery_ns.append(arrived - sent[w])
+                    return_ns.append(t1 - departed)
+                    results[w] = WorkerResult(w, pickle.loads(reply[25:]))
             return results
 
         eval_ns, iter_ns = _run(workload, exchange)
         worker_means = [statistics.fmean(v) for v in tv_by_worker]
         t_v = statistics.fmean(worker_means)
+        delivery, back = _median_p90(delivery_ns), _median_p90(return_ns)
         metrics = RunMetrics(
             p_workers=p_workers,
             latency_ns=latency,
@@ -566,6 +607,10 @@ def _run_pool(workload, setup, partition, latency_rounds: int):
             iter_ns=statistics.fmean(iter_ns),
             t_v_spread_ns=float(max(worker_means) - min(worker_means)),
             iterations=len(iter_ns),
+            delivery_p50_ns=delivery[0],
+            delivery_p90_ns=delivery[1],
+            return_p50_ns=back[0],
+            return_p90_ns=back[1],
         )
         return workload.finalize(), metrics
 
@@ -577,7 +622,8 @@ BACKENDS = ("sequential-sim", "worker-pool")
 class BsfExecutor:
     """A configured backend choice, passed to the solvers that need one.
     ``sim_latency_ns`` is the simulator's ``L``; the pool measures its own
-    over ``latency_rounds`` ping round trips."""
+    over ``latency_rounds`` ping round trips, once per pool and round count,
+    so the sessions of one pool report one ``L``."""
 
     backend: str = "sequential-sim"
     p_workers: int = 1

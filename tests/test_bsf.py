@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import signal
+import struct
 import textwrap
 import threading
 import time
@@ -350,6 +351,9 @@ def test_sim_metrics_are_synthetic_and_deterministic():
     assert a.t_v_spread_ns == 0.0
     assert a.iterations == 5
     assert a.iter_ns == 2 * (2_000.0 + 123.0) + 200_000.0 + 123.0 + 2 * 2_000.0 + 10_000.0
+    # nothing travels: delivery and return report the synthetic L
+    assert (a.delivery_p50_ns, a.delivery_p90_ns, a.return_p50_ns, a.return_p90_ns) == \
+        (123.0,) * 4
 
 
 def test_simulator_decodes_each_order_once(monkeypatch):
@@ -520,6 +524,86 @@ def test_an_idle_worker_keeps_no_state_of_its_last_session(no_pool, tmp_path):
         pool.send(w, nslp.bsf.PING_FRAME)
         assert pool.recv(w) == nslp.bsf.PING_FRAME
     assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
+
+
+def test_pool_delays_are_nonnegative_and_fit_inside_the_exchange(monkeypatch, no_pool):
+    # the master's stamps here bracket its own: the send's start comes
+    # before bsf's, the receipt's end after it
+    sends, replies = [], []
+    real_send, real_recv = _Pool.send, _Pool.recv
+
+    def send(self, w, msg):
+        if msg[:1] == nslp.bsf.ORDER_FRAME:
+            sends.append((w, time.perf_counter_ns()))
+        real_send(self, w, msg)
+
+    def recv(self, w):
+        reply = real_recv(self, w)
+        if reply[:1] == nslp.bsf.RESULT_FRAME:
+            replies.append((w, time.perf_counter_ns(), reply))
+        return reply
+
+    monkeypatch.setattr(_Pool, "send", send)
+    monkeypatch.setattr(_Pool, "recv", recv)
+    problem, z, cfg = _tracking_inputs()
+    m = run_targeting(problem, z, cfg, 8, BsfExecutor("worker-pool", 2, latency_rounds=5)).metrics
+    assert len(sends) == len(replies) == 2 * 8
+    exchange_ns = []
+    for i in range(0, len(sends), 2):
+        sent = dict(sends[i:i + 2])
+        got = replies[i:i + 2]
+        exchange = max(t for _, t, _ in got) - min(sent.values())
+        exchange_ns.append(exchange)
+        for w, received, reply in got:
+            t_v, arrived, departed = struct.unpack_from("<QQQ", reply, 1)
+            delivery, back = arrived - sent[w], received - departed
+            assert delivery >= 0 and back >= 0 and departed - arrived >= t_v
+            assert delivery + t_v + back <= exchange
+    assert 0.0 <= m.delivery_p50_ns <= m.delivery_p90_ns <= max(exchange_ns)
+    assert 0.0 <= m.return_p50_ns <= m.return_p90_ns <= max(exchange_ns)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 10, 11, 200])
+def test_delay_quantiles_are_numpys_median_and_percentile(size):
+    samples = list(np.random.default_rng(size).integers(0, 10**6, size))
+    assert nslp.bsf._median_p90(samples) == pytest.approx(
+        (np.median(samples), np.percentile(samples, 90)), rel=1e-12)
+
+
+@pytest.fixture
+def pings(monkeypatch):
+    """The round counts of every latency ping this test makes."""
+    made = []
+    real = _Pool.ping_latency_ns
+
+    def ping_latency_ns(self, rounds):
+        made.append(rounds)
+        return real(self, rounds)
+
+    monkeypatch.setattr(_Pool, "ping_latency_ns", ping_latency_ns)
+    return made
+
+
+def test_the_sessions_of_one_pool_share_one_ping(no_pool, pings):
+    problem, z, cfg = _tracking_inputs()
+
+    def latency(p_workers, rounds=5):
+        ex = BsfExecutor("worker-pool", p_workers, latency_rounds=rounds)
+        return run_targeting(problem, z, cfg, 3, ex).metrics.latency_ns
+
+    # the second session grows the pool, which keeps worker 0 and its L
+    first = [latency(1), latency(2), latency(2)]
+    assert pings == [5] and len(set(first)) == 1
+    with pytest.raises(BsfWorkerError, match="synthetic worker fault"):
+        BsfExecutor("worker-pool", 2, latency_rounds=5).run(FailingWorkload())
+    assert pings == [5]
+    # the failure discarded the pool and its L
+    after_error = latency(2)
+    assert pings == [5, 5]
+    # another round count measures again and keeps the new L
+    assert latency(2, rounds=7) == latency(2, rounds=7)
+    assert pings == [5, 5, 7]
+    assert after_error > 0.0
 
 
 def _pool_pids():
@@ -801,6 +885,10 @@ def test_cli_module_drives_the_pool(tmp_path):
         "trace.csv"]
     rows = (out / "results.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2"]
+    # one pool serves both rows, so they report the L it measured once
+    metrics = metrics_from_csv(out / "metrics.csv")
+    assert [m.p_workers for m in metrics] == [1, 2]
+    assert metrics[0].latency_ns == metrics[1].latency_ns > 0.0
 
 
 def test_each_workers_run_of_the_driver_sees_what_the_masters_saw(tmp_path):
