@@ -414,15 +414,15 @@ def _server_environ():
 class _Pool:
     """Worker processes forked by the fork server, one duplex pipe each,
     numbered in start order. Every start or pipe error on the master side
-    surfaces as ``BsfWorkerError``. ``latency`` is ``(rounds, L in ns)``
-    from the last ping of worker 0, or None before the first: ``L`` is a
-    constant of the link, so it lives as long as the pool, a grown pool
-    keeps it (worker 0 stays) and a replaced pool measures its own."""
+    surfaces as ``BsfWorkerError``. ``latency`` maps a ping's round count
+    to the ``L`` (ns) it measured on worker 0: ``L`` is a constant of the
+    link, so it lives as long as the pool, a grown pool keeps it (worker 0
+    stays) and a replaced pool measures its own."""
 
     def __init__(self):
         self.conns = []
         self.procs = []
-        self.latency = None
+        self.latency = {}
 
     def begin(self, partition, setup) -> None:
         """Start the workers the session lacks, then send worker ``w`` its
@@ -553,16 +553,16 @@ def _median_p90(samples: list) -> tuple[float, float]:
 def _run_pool(workload, setup, partition, latency_rounds: int):
     """Pipe exchange on the process's pool; the metrics are measured on the
     master. ``L`` is the median of ``latency_rounds`` one-byte round trips
-    to worker 0, halved, measured after the SETUP frames by a pool's first
-    session and by one that asks for another round count; the pool's other
+    to worker 0, halved, measured after the SETUP frames by the first
+    session of a pool that asks for that round count; the pool's other
     sessions report the ``L`` it keeps."""
     from multiprocessing.connection import wait
 
     p_workers = len(partition)
     with _session(partition, setup) as pool:
-        if pool.latency is None or pool.latency[0] != latency_rounds:
-            pool.latency = (latency_rounds, pool.ping_latency_ns(latency_rounds))
-        latency = pool.latency[1]
+        if latency_rounds not in pool.latency:
+            pool.latency[latency_rounds] = pool.ping_latency_ns(latency_rounds)
+        latency = pool.latency[latency_rounds]
         send_ns, recv_ns, delivery_ns, return_ns = [], [], [], []
         tv_by_worker = [[] for _ in range(p_workers)]
 
