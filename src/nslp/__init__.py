@@ -2,8 +2,8 @@
 bulk-synchronous farm, with the analytic cost model used to predict and
 validate its scalability."""
 
-from .bsf import (BsfExecutor, BsfWorkerError, Order, RunMetrics, WorkerResult,
-                  block_partition, make_order, order_from_bytes, order_to_bytes)
+from .bsf import (BsfExecutor, BsfWorkerError, Order, RunMetrics, block_partition,
+                  make_order, order_from_bytes, order_to_bytes)
 from .cost_model import (CostParams, ScenarioModel, calibrate, efficiency,
                          predict_curves, scalability_bound, scenario_params, speedup)
 from .cross import Cross, Marker, cohort_markers, marker_of, markers, point_of, recenter

@@ -7,18 +7,21 @@ frame reaches the workers and their results come back, and must produce
 identical outputs: ``sequential-sim`` runs everything in-process with a
 deterministic synthetic clock (the latency ``sim_latency_ns`` plus fixed
 charges), ``worker-pool`` runs workers that live for the whole process,
-connected by pipes, and reports measured timings. The pool's workers are
-forked from a fork server (so it needs a POSIX start method) by the first
-session, and by a later one that asks for more workers; each session sends
-them its setup as a first frame. ``BsfExecutor(backend, p_workers).run(workload)``
-is the farm's only entry point.
+connected by pipes, and reports measured timings. The process keeps one
+pool, whose workers are forked from a fork server (so it needs a POSIX
+start method) by the first session, by a later one that asks for more
+workers, and by the first after a failure shut the pool down; each session
+sends them its setup as a first frame.
+``BsfExecutor(backend, p_workers).run(workload)`` is the farm's only entry
+point. A worker is named by its position alone: its place in the
+partition, in the pool and in the list of answers.
 
 Workload protocol (duck-typed):
 
     workload.cohort_count                      -> int
     workload.init(p_workers, partition)        -> setup  (picklable)
     workload.make_order()                      -> Order
-    workload.merge_results(list[WorkerResult]) -> merged  (in worker order)
+    workload.merge_results(list[bests])        -> merged  (worker w's at w)
     workload.evaluate(merged)                  -> None
     workload.exit_check()                      -> bool
     workload.finalize()                        -> final state
@@ -27,8 +30,9 @@ Workload protocol (duck-typed):
     setup.process_order(state, order)          -> (state, bests)
 
 ``process_order`` must be pure in (state, order): replaying a recorded
-order stream bit-reproduces the results. ``merge_results`` gets one
-``WorkerResult`` per worker, in worker order, and may rely on that order.
+order stream bit-reproduces the results. ``merge_results`` gets each
+worker's ``bests`` as a tuple, worker ``w``'s at position ``w``, and may rely
+on that order.
 """
 
 from __future__ import annotations
@@ -79,14 +83,6 @@ class Order:
         object.__setattr__(self, "theta", _readonly(self.theta))
         if self.clock < 0:
             raise ValueError("clock must be nonnegative")
-
-
-@dataclass(frozen=True)
-class WorkerResult:
-    """One worker's answer to an order; compares by value."""
-
-    worker_id: int
-    bests: tuple
 
 
 def make_order(prev: DenseLP, next_lp: DenseLP, center, clock: int) -> Order:
@@ -173,10 +169,11 @@ def metrics_from_csv(path) -> list[RunMetrics]:
 # t_v, its receipt of the order and its send of the result (three u64 ns,
 # the last two read from the host-wide perf_counter_ns clock) and pickled
 # bests, per cohort the winning marker's offset and value, which the master
-# turns back into a point on its own cross. The pipe
-# names the worker, which lives until the master closes that pipe. A session
-# opens with a SETUP frame (u32 worker id | u32 count | count x u32 cohort |
-# the pickled setup) and closes with a one-byte END frame.
+# turns back into a point on its own cross. The pipe names the worker, and
+# its answer takes the worker's position; a worker lives until the master
+# closes its pipe. A session opens with a SETUP frame (u32 worker id | u32
+# count | count x u32 cohort | the pickled setup) and closes with a one-byte
+# END frame.
 
 
 def _pairs_to_bytes(idx: np.ndarray, vals: np.ndarray) -> bytes:
@@ -248,11 +245,10 @@ def block_partition(n_items: int, p: int) -> list[list[int]]:
 
 def _run(workload, exchange):
     """The BSF master loop shared by both backends. Each iteration encodes
-    the order, hands the frame to ``exchange`` (which returns one
-    ``WorkerResult`` per worker, in worker order: the barrier), then merges
-    and evaluates, until ``exit_check``. ``merge_results`` gets the results
-    in that order and may rely on it. Returns the per-iteration evaluate and
-    whole-iteration times (ns)."""
+    the order, hands the frame to ``exchange`` (which returns each worker's
+    bests tuple, worker ``w``'s at position ``w``: the barrier), then merges
+    and evaluates, until ``exit_check``. Returns the per-iteration evaluate
+    and whole-iteration times (ns)."""
     eval_ns, iter_ns = [], []
     while True:
         start = time.perf_counter_ns()
@@ -283,12 +279,12 @@ def _run_sim(workload, setup, partition, latency_ns: float):
     p_workers = len(partition)
     states = [setup.init_state(w, tuple(part)) for w, part in enumerate(partition)]
 
-    def exchange(frame: bytes) -> list[WorkerResult]:
+    def exchange(frame: bytes) -> list[tuple]:
         order = order_from_bytes(frame)
         results = []
         for w in range(p_workers):
             states[w], bests = setup.process_order(states[w], order)
-            results.append(WorkerResult(w, tuple(bests)))
+            results.append(tuple(bests))
         return results
 
     _, iter_ns = _run(workload, exchange)
@@ -376,7 +372,7 @@ def _pool_context():
     ctx.set_forkserver_preload(["numpy", "nslp", "multiprocessing.popen_forkserver"])
     # priority >= 0 runs before multiprocessing terminates the daemonic
     # children left alive, < 0 after it has joined them
-    util.Finalize(None, _discard_pool, exitpriority=0)
+    util.Finalize(None, _pool.shutdown, exitpriority=0)
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     return ctx
 
@@ -412,17 +408,17 @@ def _server_environ():
 
 
 class _Pool:
-    """Worker processes forked by the fork server, one duplex pipe each,
-    numbered in start order. Every start or pipe error on the master side
-    surfaces as ``BsfWorkerError``. ``latency`` maps a ping's round count
-    to the ``L`` (ns) it measured on worker 0: ``L`` is a constant of the
-    link, so it lives as long as the pool, a grown pool keeps it (worker 0
-    stays) and a replaced pool measures its own."""
+    """The process's one pool: worker processes forked by the fork server,
+    one duplex pipe each, numbered in start order, and the ``lock`` a
+    session holds. Every start or pipe error on the master side surfaces as
+    ``BsfWorkerError``. ``latency`` maps a ping's round count to the ``L``
+    (ns) it measured on worker 0: ``L`` is a constant of the link, so it
+    lives as long as the workers, a grown pool keeps it (worker 0 stays)
+    and a shutdown forgets it with the workers."""
 
     def __init__(self):
-        self.conns = []
-        self.procs = []
-        self.latency = {}
+        self.lock = threading.Lock()
+        self.conns, self.procs, self.latency = [], [], {}
 
     def begin(self, partition, setup) -> None:
         """Start the workers the session lacks, then send worker ``w`` its
@@ -486,7 +482,9 @@ class _Pool:
         return statistics.median(samples) / 2.0
 
     def shutdown(self) -> None:
-        """Close every pipe (a worker's stop), join each, terminate stragglers."""
+        """Close every pipe (a worker's stop), join each, terminate
+        stragglers, then forget the workers and their ``L``: the next
+        session starts new ones."""
         for conn in self.conns:
             conn.close()
         for proc in self.procs:
@@ -495,20 +493,10 @@ class _Pool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
+        self.conns, self.procs, self.latency = [], [], {}
 
 
-# the process's pool, kept between sessions, and the lock a session holds
-_live_pool: _Pool | None = None
-_session_lock = threading.Lock()
-
-
-def _discard_pool() -> None:
-    """Stop the process's pool, if there is one; the next session starts a
-    new one."""
-    global _live_pool
-    pool, _live_pool = _live_pool, None
-    if pool is not None:
-        pool.shutdown()
+_pool = _Pool()
 
 
 @contextlib.contextmanager
@@ -516,28 +504,24 @@ def _session(partition, setup):
     """The process's pool for one session of ``len(partition)`` workers
     (``_Pool.begin``), which are sent an END frame when the session ends; a
     session of fewer workers than the pool has uses the first ones. A pool
-    with a worker that died or wrote while idle is replaced first, and any
-    exception in the session discards the pool, so the next session starts
-    clean. A session that finds the pool busy raises at once, since two
-    threads must never share its pipes."""
-    global _live_pool
-    if not _session_lock.acquire(blocking=False):
+    with a worker that died or wrote while idle is shut down first, and so
+    is the pool on any exception in the session, so the next session starts
+    new workers. A session that finds the pool busy raises at once, since
+    two threads must never share its pipes."""
+    if not _pool.lock.acquire(blocking=False):
         raise RuntimeError("the worker pool is already running a session")
     try:
-        if _live_pool is not None and any(conn.poll() for conn in _live_pool.conns):
-            _discard_pool()
-        if _live_pool is None:
-            _live_pool = _Pool()
-        pool = _live_pool
-        pool.begin(partition, setup)
-        yield pool
+        if any(conn.poll() for conn in _pool.conns):
+            _pool.shutdown()
+        _pool.begin(partition, setup)
+        yield _pool
         for w in range(len(partition)):
-            pool.send(w, END_FRAME)
+            _pool.send(w, END_FRAME)
     except BaseException:
-        _discard_pool()
+        _pool.shutdown()
         raise
     finally:
-        _session_lock.release()
+        _pool.lock.release()
 
 
 def _median_p90(samples: list) -> tuple[float, float]:
@@ -551,11 +535,12 @@ def _median_p90(samples: list) -> tuple[float, float]:
 
 
 def _run_pool(workload, setup, partition, latency_rounds: int):
-    """Pipe exchange on the process's pool; the metrics are measured on the
+    """Pipe exchange on the process's pool: worker ``w``'s unpickled bests
+    go to position ``w`` of the answers. The metrics are measured on the
     master. ``L`` is the median of ``latency_rounds`` one-byte round trips
     to worker 0, halved, measured after the SETUP frames by the first
-    session of a pool that asks for that round count; the pool's other
-    sessions report the ``L`` it keeps."""
+    session that asks for that round count since the pool's workers
+    started; their other sessions report the ``L`` the pool keeps."""
     from multiprocessing.connection import wait
 
     p_workers = len(partition)
@@ -566,7 +551,7 @@ def _run_pool(workload, setup, partition, latency_rounds: int):
         send_ns, recv_ns, delivery_ns, return_ns = [], [], [], []
         tv_by_worker = [[] for _ in range(p_workers)]
 
-        def exchange(frame: bytes) -> list[WorkerResult]:
+        def exchange(frame: bytes) -> list[tuple]:
             msg = ORDER_FRAME + frame
             sent = []
             for w in range(p_workers):
@@ -589,7 +574,7 @@ def _run_pool(workload, setup, partition, latency_rounds: int):
                     tv_by_worker[w].append(t_v)
                     delivery_ns.append(arrived - sent[w])
                     return_ns.append(t1 - departed)
-                    results[w] = WorkerResult(w, pickle.loads(reply[25:]))
+                    results[w] = pickle.loads(reply[25:])
             return results
 
         eval_ns, iter_ns = _run(workload, exchange)

@@ -74,6 +74,9 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad {what} list: {text!r}")
     if not vals:
         raise argparse.ArgumentTypeError(f"empty {what} list")
+    repeats = sorted({v for v in vals if vals.count(v) > 1})
+    if repeats:
+        raise argparse.ArgumentTypeError(f"{what} list {text!r} repeats {repeats}")
     return vals
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .bsf import DEFAULT_LATENCY_NS, RunMetrics
+from .lp import _check_count
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,7 @@ class CostParams:
     t_w_ns: float
 
     def __post_init__(self):
-        if self.p_workers < 1:
-            raise ValueError("p_workers must be >= 1")
+        _check_count("p_workers", self.p_workers)
         for name in ("latency_ns", "t_s_ns", "t_r_ns", "t_p_ns", "t_w_ns"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -90,8 +90,7 @@ class ScenarioModel:
     latency_ns: float = DEFAULT_LATENCY_NS
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
+        _check_count("dimension n", self.n, least=2)
         mode = self.delta_mode
         fraction = isinstance(mode, (int, float)) and not isinstance(mode, bool)
         if mode not in ("full", "one-row") and not (fraction and 0.0 <= mode <= 1.0):
@@ -178,11 +177,12 @@ CURVES_CSV_HEADER = "P,speedup_pred,efficiency_pred,bound"
 def predict_curves(model: ScenarioModel, p_values: Iterable[int]) -> list[CurveRow]:
     """Speedup/efficiency/bound per worker count, for plotting and for the
     measured-versus-predicted comparison. The bound column is constant (it
-    does not depend on P)."""
+    does not depend on P). A P that is not an integer >= 1 raises
+    ValueError."""
     rows = []
     for p in p_values:
-        params = scenario_params(model, int(p))
-        rows.append(CurveRow(int(p), speedup(params), efficiency(params),
+        params = scenario_params(model, p)
+        rows.append(CurveRow(p, speedup(params), efficiency(params),
                              scalability_bound(params)))
     if not rows:
         raise ValueError("need at least one worker count")

@@ -18,10 +18,10 @@ DEFAULT_THETA = 200.0
 DRIFT_KINDS = ("none", "translate", "random-sparse")
 
 
-def _check_count(name: str, value) -> None:
-    """A count setting is an integer >= 1; a bool or a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """A count setting is an integer >= ``least``; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsf import Order, RunMetrics, WorkerResult, make_order
+from .bsf import Order, RunMetrics, make_order
 from .cross import Cross, _cohort_markers, _offsets, recenter
 from .cross import _point as point_of  # in-range builds, counted under this name
 from .lp import (DenseLP, NonStationaryLP, _check_count, advance, apply_delta,
@@ -375,13 +375,16 @@ class TargetingWorkload:
         self._worker_lp = self.lp
         return order
 
-    def merge_results(self, results: list[WorkerResult]) -> list[CohortBest]:
-        """Every worker's bests in farm (worker) order; ``evaluate`` sorts them."""
-        for r in results:
-            if sorted(b.cohort for b in r.bests) != self._partition[r.worker_id]:
-                raise ValueError(
-                    f"worker {r.worker_id} answered outside its cohort assignment")
-        return [b for r in results for b in r.bests]
+    def merge_results(self, results: list[tuple]) -> list[CohortBest]:
+        """Every worker's bests, worker ``w``'s at position ``w``, in that
+        order; ``evaluate`` sorts them."""
+        if len(results) != len(self._partition):
+            raise ValueError(f"expected {len(self._partition)} worker answers, "
+                             f"got {len(results)}")
+        for w, bests in enumerate(results):
+            if sorted(b.cohort for b in bests) != self._partition[w]:
+                raise ValueError(f"worker {w} answered outside its cohort assignment")
+        return [b for bests in results for b in bests]
 
     def evaluate(self, bests: list[CohortBest]) -> None:
         lp = self.lp

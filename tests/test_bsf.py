@@ -23,8 +23,8 @@ from nslp import (BsfExecutor, BsfWorkerError, Cross, DriftSpec, NonStationaryLP
                   Order, SparseDelta, apply_delta, block_partition, evaluate,
                   make_order, model_n, model_n_optimum, order_from_bytes,
                   order_to_bytes, process_cohorts, run_targeting, snapshot)
-from nslp.bsf import (RunMetrics, WorkerResult, _Pool, _pool_context, _session,
-                      metrics_from_csv, metrics_to_csv)
+from nslp.bsf import (RunMetrics, _Pool, _pool_context, _session, metrics_from_csv,
+                      metrics_to_csv)
 from nslp.lp import EMPTY_DELTA
 from nslp.targeting import (CohortBest, TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
@@ -204,21 +204,28 @@ def test_worker_result_carries_markers_not_points():
     start = np.maximum(x - np.random.default_rng(4242).uniform(0.0, 2.0, n), 0.0)
     bests = process_cohorts(model_n(n), Cross(start, 1.0, 8), range(100))
     assert all(b.offset is not None for b in bests)
-    result = WorkerResult(0, tuple(bests))
+    result = tuple(bests)
     payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(payload) < 8_000
     assert pickle.loads(payload) == result
 
 
-@pytest.mark.parametrize("answer", [(3, 4), (2, 3, 4, 5)])
+# each answer lists the cohorts of the bests at each position, and the error
+# it raises; the position names the worker
+@pytest.mark.parametrize("answer", [
+    ([(0, 1, 2), (3, 4)], "worker 1 answered outside its cohort assignment"),
+    ([(0, 1, 2), (2, 3, 4, 5)], "worker 1 answered outside its cohort assignment"),
+    ([(0, 1, 2), (3, 4, 5), (3, 4, 5)], "expected 2 worker answers, got 3"),
+    ([(0, 1, 2)], "expected 2 worker answers, got 1"),
+    ([(3, 4, 5), (0, 1, 2)], "worker 0 answered outside its cohort assignment"),
+])
 def test_merge_results_names_a_worker_whose_bests_miss_or_add_a_cohort(answer):
     wl = TargetingWorkload(NonStationaryLP(base=model_n(6)), np.zeros(6),
                            TargetingConfig(points_per_cohort=2, spacing=0.5), 1)
-    wl.init(2, block_partition(6, 2))  # worker 1 owns cohorts 3, 4 and 5
-    good = WorkerResult(0, tuple(CohortBest(c) for c in range(3)))
-    bad = WorkerResult(1, tuple(CohortBest(c) for c in answer))
-    with pytest.raises(ValueError, match="worker 1 answered outside its cohort assignment"):
-        wl.merge_results([good, bad])
+    wl.init(2, block_partition(6, 2))  # worker 0 owns cohorts 0, 1 and 2, worker 1 the rest
+    cohorts, error = answer
+    with pytest.raises(ValueError, match=error):
+        wl.merge_results([tuple(CohortBest(c) for c in part) for part in cohorts])
 
 
 # --- orders carry exactly the changed entries ---------------------------------
@@ -233,7 +240,7 @@ def test_make_order_stationary_is_theta_only():
         order = wl.make_order()
         assert order.delta.is_empty()
         bests = process_cohorts(wl.lp, Cross(order.theta, 0.5, 2), range(4))
-        wl.evaluate(wl.merge_results([WorkerResult(0, tuple(bests))]))
+        wl.evaluate(wl.merge_results([tuple(bests)]))
 
 
 def test_one_row_regime_order_budget():
@@ -431,9 +438,9 @@ def test_init_state_failure_raises_worker_error_with_its_message():
 @pytest.fixture
 def no_pool():
     """Start and end the test with no live pool in this process."""
-    nslp.bsf._discard_pool()
+    nslp.bsf._pool.shutdown()
     yield
-    nslp.bsf._discard_pool()
+    nslp.bsf._pool.shutdown()
 
 
 def test_failed_setup_send_stops_the_started_workers(monkeypatch, no_pool):
@@ -509,10 +516,11 @@ def test_closing_the_pipes_stops_every_worker(no_pool):
     # would be joined for 10 s and then terminated, with a negative exit code
     with _session([[0], [1]], TrivialSetup()) as pool:
         assert pool.ping_latency_ns(3) > 0.0
+    procs = list(pool.procs)
     t0 = time.monotonic()
-    nslp.bsf._discard_pool()
+    pool.shutdown()
     assert time.monotonic() - t0 < 10.0
-    assert [proc.exitcode for proc in pool.procs] == [0, 0]
+    assert [proc.exitcode for proc in procs] == [0, 0]
     assert multiprocessing.active_children() == []
 
 
@@ -597,7 +605,7 @@ def test_the_sessions_of_one_pool_share_one_ping(no_pool, pings):
     with pytest.raises(BsfWorkerError, match="synthetic worker fault"):
         BsfExecutor("worker-pool", 2, latency_rounds=5).run(FailingWorkload())
     assert pings == [5]
-    # the failure discarded the pool and its L
+    # the failure shut the pool down and forgot its L
     after_error = latency(2)
     assert pings == [5, 5]
     # another round count measures again, and each count keeps its L
@@ -607,7 +615,7 @@ def test_the_sessions_of_one_pool_share_one_ping(no_pool, pings):
 
 
 def _pool_pids():
-    return [proc.pid for proc in nslp.bsf._live_pool.procs]
+    return [proc.pid for proc in nslp.bsf._pool.procs]
 
 
 def _tracking_inputs():
@@ -645,7 +653,7 @@ def test_a_failed_session_or_a_dead_idle_worker_gives_the_next_session_new_worke
         BsfExecutor("worker-pool", 2, latency_rounds=5).run(FailingWorkload())
     after_error = session()
     assert not set(after_error) & set(first)
-    idle = nslp.bsf._live_pool.procs[1]
+    idle = nslp.bsf._pool.procs[1]
     os.kill(idle.pid, signal.SIGKILL)
     idle.join(timeout=10)
     assert idle.exitcode == -signal.SIGKILL
@@ -655,7 +663,7 @@ def test_a_failed_session_or_a_dead_idle_worker_gives_the_next_session_new_worke
 
 def test_a_session_that_finds_the_pool_busy_raises_at_once(no_pool):
     # two threads must never share the pipes; the lock is another session's
-    with nslp.bsf._session_lock:
+    with nslp.bsf._pool.lock:
         with pytest.raises(RuntimeError, match="already running a session"):
             BsfExecutor("worker-pool", 1).run(FailingWorkload())
     assert multiprocessing.active_children() == []
@@ -720,7 +728,7 @@ class ProbeWorkload:
         return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
 
     def merge_results(self, results):
-        return [r.bests[0] for r in results]
+        return [bests[0] for bests in results]
 
     def evaluate(self, merged):
         self.seen = merged
@@ -740,7 +748,7 @@ if __name__ == "__main__":
         if i == 0 and sys.argv[3] == "kill":
             from multiprocessing.forkserver import _forkserver
             os.kill(seen[0]["pid"], signal.SIGKILL)
-            bsf._live_pool.conns[0].poll(10)  # its end of the pipe closed
+            bsf._pool.conns[0].poll(10)  # its end of the pipe closed
             os.kill(_forkserver._forkserver_pid, signal.SIGKILL)
             # wait for its exit but leave the reaping to the restart
             os.waitid(os.P_PID, _forkserver._forkserver_pid, os.WEXITED | os.WNOWAIT)
@@ -980,5 +988,5 @@ def test_record_replay_bit_reproduces_results():
         for frame in workload.frames:
             state, bests = setup.process_order(state, order_from_bytes(frame))
             replayed.append(tuple(bests))
-        assert replayed == [results[w].bests for results in workload.results]
+        assert replayed == [results[w] for results in workload.results]
 

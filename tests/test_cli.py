@@ -280,6 +280,21 @@ def test_bad_worker_counts_are_usage_errors_that_create_nothing(tmp_path, capsys
     assert not (tmp_path / "q1").exists()
 
 
+@pytest.mark.parametrize("sub", ["run", "predict"])
+def test_repeated_worker_counts_are_usage_errors_before_any_pass(tmp_path, monkeypatch,
+                                                                 capsys, sub):
+    # each count is one pass and one row of results.csv
+    passes = []
+    monkeypatch.setattr("nslp.cli.run_targeting", lambda *args: passes.append(args))
+    extra = ["--iters", "2", "--backend", "sim"] if sub == "run" else []
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--n", "6", "--workers", "2,1,1,2,3", *extra, "--out", str(tmp_path / "q")])
+    assert exc.value.code == 2
+    assert "worker list '2,1,1,2,3' repeats [1, 2]" in capsys.readouterr().err
+    assert passes == []
+    assert not (tmp_path / "q").exists()
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--metrics", "m.csv", "--metrics-n", "0"], "--metrics-n must be >= 2"),
     (["--metrics", "m.csv", "--metrics-n", "-3"], "--metrics-n must be >= 2"),

@@ -212,6 +212,15 @@ def test_cost_params_validation():
         CostParams(p_workers=0, latency_ns=0, t_s_ns=0, t_r_ns=0, t_p_ns=0, t_w_ns=1)
     with pytest.raises(ValueError):
         CostParams(p_workers=1, latency_ns=-1, t_s_ns=0, t_r_ns=0, t_p_ns=0, t_w_ns=1)
+    # a worker count is an integer, as every other count is
+    for p in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match="p_workers must be an integer"):
+            _params(p=p)
+    # predict_curves rejects a fractional P instead of truncating it to a P=1 row
+    for ps in ([1.9, True], [1, 2.0]):
+        with pytest.raises(ValueError, match="p_workers must be an integer"):
+            predict_curves(ScenarioModel(n=200), ps)
+    assert [r.p_workers for r in predict_curves(ScenarioModel(n=200), np.array([1, 2]))] == [1, 2]
 
 
 @pytest.mark.parametrize("field", ["latency_ns", "t_s_ns", "t_r_ns", "t_p_ns", "t_w_ns"])
@@ -224,6 +233,9 @@ def test_cost_params_rejects_bad_costs(field, value):
 def test_scenario_model_validation():
     with pytest.raises(ValueError):
         ScenarioModel(n=1)
+    for n in (200.5, 200.0, True):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            ScenarioModel(n=n)
     with pytest.raises(ValueError):
         ScenarioModel(n=10, delta_mode="weird")
     with pytest.raises(ValueError):

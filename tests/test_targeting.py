@@ -281,7 +281,7 @@ class _ScriptedSnapshots:
         return make_order(self.lps[max(k - 1, 0)], self.lps[k], self.cross.center, k)
 
     def merge_results(self, results):
-        return sorted((b for r in results for b in r.bests), key=lambda b: b.cohort)
+        return sorted((b for bests in results for b in bests), key=lambda b: b.cohort)
 
     def evaluate(self, bests):
         self.bests.append(bests)
