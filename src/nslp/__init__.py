@@ -12,7 +12,7 @@ from .lp import (DenseLP, DriftSpec, NonStationaryLP, SparseDelta, apply_delta,
                  objective_value, read_problem, snapshot, write_problem)
 from .oracle import SimplexResult, project_bruteforce, solve_simplex
 from .quest import FejerConfig, MalformedProblemError, QuestResult, fejer_step, pseudo_project
-from .targeting import (CohortBest, TargetingConfig, TargetingState, TrackingTrace,
-                        evaluate, process_cohorts, run_targeting)
+from .targeting import (TargetingConfig, TargetingState, TrackingTrace, evaluate,
+                        process_cohorts, run_targeting)
 
 __version__ = "0.1.0"

@@ -21,18 +21,18 @@ Workload protocol (duck-typed):
     workload.cohort_count                      -> int
     workload.init(p_workers, partition)        -> setup  (picklable)
     workload.make_order()                      -> Order
-    workload.merge_results(list[bests])        -> merged  (worker w's at w)
+    workload.merge_results(list[answer])       -> merged  (worker w's at w)
     workload.evaluate(merged)                  -> None
     workload.exit_check()                      -> bool
     workload.finalize()                        -> final state
 
     setup.init_state(worker_id, cohorts)       -> state
-    setup.process_order(state, order)          -> (state, bests)
+    setup.process_order(state, order)          -> (state, answer)
 
 ``process_order`` must be pure in (state, order): replaying a recorded
-order stream bit-reproduces the results. ``merge_results`` gets each
-worker's ``bests`` as a tuple, worker ``w``'s at position ``w``, and may rely
-on that order.
+order stream bit-reproduces the results. An answer is any picklable value;
+the farm passes it on unchanged (the pool pickles it once). ``merge_results``
+gets each worker's answer at position ``w`` and may rely on that order.
 """
 
 from __future__ import annotations
@@ -167,13 +167,13 @@ def metrics_from_csv(path) -> list[RunMetrics]:
 #   u32 count_c | count_c x (u32 c index, f64 value)
 # A worker echoes a PING frame and answers an ORDER with a RESULT frame: its
 # t_v, its receipt of the order and its send of the result (three u64 ns,
-# the last two read from the host-wide perf_counter_ns clock) and pickled
-# bests, per cohort the winning marker's offset and value, which the master
-# turns back into a point on its own cross. The pipe names the worker, and
-# its answer takes the worker's position; a worker lives until the master
-# closes its pipe. A session opens with a SETUP frame (u32 worker id | u32
-# count | count x u32 cohort | the pickled setup) and closes with a one-byte
-# END frame.
+# the last two read from the host-wide perf_counter_ns clock) and its
+# pickled answer (for the tracker, two arrays: per cohort the winning
+# marker's offset and value, which the master turns back into a point on its
+# own cross). The pipe names the worker, and its answer takes the worker's
+# position; a worker lives until the master closes its pipe. A session opens
+# with a SETUP frame (u32 worker id | u32 count | count x u32 cohort | the
+# pickled setup) and closes with a one-byte END frame.
 
 
 def _pairs_to_bytes(idx: np.ndarray, vals: np.ndarray) -> bytes:
@@ -246,7 +246,7 @@ def block_partition(n_items: int, p: int) -> list[list[int]]:
 def _run(workload, exchange):
     """The BSF master loop shared by both backends. Each iteration encodes
     the order, hands the frame to ``exchange`` (which returns each worker's
-    bests tuple, worker ``w``'s at position ``w``: the barrier), then merges
+    answer, worker ``w``'s at position ``w``: the barrier), then merges
     and evaluates, until ``exit_check``. Returns the per-iteration evaluate
     and whole-iteration times (ns)."""
     eval_ns, iter_ns = [], []
@@ -279,12 +279,12 @@ def _run_sim(workload, setup, partition, latency_ns: float):
     p_workers = len(partition)
     states = [setup.init_state(w, tuple(part)) for w, part in enumerate(partition)]
 
-    def exchange(frame: bytes) -> list[tuple]:
+    def exchange(frame: bytes) -> list:
         order = order_from_bytes(frame)
         results = []
         for w in range(p_workers):
-            states[w], bests = setup.process_order(states[w], order)
-            results.append(tuple(bests))
+            states[w], answer = setup.process_order(states[w], order)
+            results.append(answer)
         return results
 
     _, iter_ns = _run(workload, exchange)
@@ -324,9 +324,9 @@ def _worker_main(conn) -> None:
             tag = msg[:1]
             if tag == ORDER_FRAME:
                 t0 = time.perf_counter_ns()  # the order's receipt, and t_v's start
-                state, bests = setup.process_order(state, order_from_bytes(msg[1:]))
+                state, answer = setup.process_order(state, order_from_bytes(msg[1:]))
                 t_v = time.perf_counter_ns() - t0
-                payload = pickle.dumps(tuple(bests), protocol=pickle.HIGHEST_PROTOCOL)
+                payload = pickle.dumps(answer, protocol=pickle.HIGHEST_PROTOCOL)
                 stamps = struct.pack("<QQQ", t_v, t0, time.perf_counter_ns())
                 conn.send_bytes(RESULT_FRAME + stamps + payload)
             elif tag == PING_FRAME:
@@ -535,8 +535,8 @@ def _median_p90(samples: list) -> tuple[float, float]:
 
 
 def _run_pool(workload, setup, partition, latency_rounds: int):
-    """Pipe exchange on the process's pool: worker ``w``'s unpickled bests
-    go to position ``w`` of the answers. The metrics are measured on the
+    """Pipe exchange on the process's pool: worker ``w``'s unpickled answer
+    goes to position ``w`` of the answers. The metrics are measured on the
     master. ``L`` is the median of ``latency_rounds`` one-byte round trips
     to worker 0, halved, measured after the SETUP frames by the first
     session that asks for that round count since the pool's workers
@@ -551,7 +551,7 @@ def _run_pool(workload, setup, partition, latency_rounds: int):
         send_ns, recv_ns, delivery_ns, return_ns = [], [], [], []
         tv_by_worker = [[] for _ in range(p_workers)]
 
-        def exchange(frame: bytes) -> list[tuple]:
+        def exchange(frame: bytes) -> list:
             msg = ORDER_FRAME + frame
             sent = []
             for w in range(p_workers):

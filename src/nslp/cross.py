@@ -86,8 +86,10 @@ def marker_of(cross: Cross, point: np.ndarray) -> Marker:
     if len(where) != 1:
         raise ValueError("point is the center or not a cross point")
     chi = int(where[0])
-    eta = int(round((point[chi] - cross.center[chi]) / cross.spacing))
-    m = Marker(chi, eta)
+    steps = (point[chi] - cross.center[chi]) / cross.spacing
+    if not math.isfinite(steps):  # a coordinate or its quotient is not finite
+        raise ValueError("point does not lie exactly on the cross")
+    m = Marker(chi, int(round(steps)))
     if not np.array_equal(point_of(cross, m), point):
         raise ValueError("point does not lie exactly on the cross")
     return m

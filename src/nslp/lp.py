@@ -18,9 +18,14 @@ DEFAULT_THETA = 200.0
 DRIFT_KINDS = ("none", "translate", "random-sparse")
 
 
+def _is_integer(value) -> bool:
+    """A bool or a float is not an integer; a numpy integer is."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, least: int = 1) -> None:
     """A count setting is an integer >= ``least``; a bool or a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -108,6 +113,9 @@ class DriftSpec:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if not 0.0 <= self.magnitude < math.inf:
             raise ValueError(f"magnitude must be nonnegative and finite, got {self.magnitude}")
+        if not _is_integer(self.seed):  # a negative seed is masked to 64 bits
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # numpy's & would overflow
         if self.kind == "translate":
             if self.translate_vector is None:
                 raise ValueError("translate drift requires translate_vector")

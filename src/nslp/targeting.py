@@ -18,22 +18,6 @@ from .quest import FejerConfig, pseudo_project
 
 
 @dataclass(frozen=True)
-class CohortBest:
-    """One cohort's feasible argmax: the signed marker offset of the point
-    and its objective value, both empty when the whole cohort lies outside
-    the polytope. The point is ``point_of(cross, Marker(cohort, offset))``
-    on the cross the order was processed on."""
-
-    cohort: int
-    offset: int | None = None
-    value: float | None = None
-
-    def __post_init__(self):
-        if (self.offset is None) != (self.value is None):
-            raise ValueError("offset and value must be present together")
-
-
-@dataclass(frozen=True)
 class TargetingConfig:
     points_per_cohort: int = 8      # K, even
     spacing: float = 1.0            # s
@@ -198,10 +182,13 @@ def _screen(lp: DenseLP, cross: Cross, plan: _ScreenPlan,
 
 
 def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
-                    plan: _ScreenPlan | None = None) -> list[CohortBest]:
+                    plan: _ScreenPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Steps 2-4 restricted to the given cohorts: reconstruct each cohort's
     points, drop the infeasible ones, and keep the marker offset and value
-    of the feasible point with the largest objective value.
+    of the feasible point with the largest objective value: an int64 and a
+    float64 array, one entry per cohort in ascending cohort order. A cohort
+    with no feasible point reads offset 0, which no cohort point has, and
+    value ``-inf``.
 
     ``_screen`` gives every point a feasibility verdict and a value
     candidate flag. Only candidates are checked further: an _UNSURE one
@@ -226,47 +213,43 @@ def process_cohorts(lp: DenseLP, cross: Cross, cohorts,
         raise ValueError(f"problem dimension {lp.n} != cross dimension {cross.dimension}")
     if plan is None:
         plan = _ScreenPlan(cohorts, cross.points_per_cohort, cross.spacing, cross.dimension)
-    if not plan.chis:
-        return []
     offsets = plan.offsets
     verdicts, candidates = (a.tolist() for a in _screen(lp, cross, plan, plan.steps))
-    out = []
-    for chi, ms, verdict, maybe in zip(plan.chis, plan.markers, verdicts, candidates):
-        best_offset, best_value = None, -math.inf
+    best_offsets = np.zeros(len(plan.chis), dtype=np.int64)
+    best_values = np.full(len(plan.chis), -np.inf)
+    for i, (ms, verdict, maybe) in enumerate(zip(plan.markers, verdicts, candidates)):
         for k in plan.tie_order:
             p = point_of(cross, ms[k])
             if not maybe[k] or (verdict[k] == _UNSURE and max_violation(lp, p) != 0.0):
                 continue
             v = objective_value(lp, p)
-            if v > best_value:
-                best_offset, best_value = offsets[k], v
-        out.append(CohortBest(chi) if best_offset is None
-                   else CohortBest(chi, best_offset, best_value))
-    return out
+            if v > best_values[i]:
+                best_offsets[i], best_values[i] = offsets[k], v
+    return best_offsets, best_values
 
 
-def evaluate(lp: DenseLP, state: TargetingState, bests: list[CohortBest]) -> TargetingState:
+def evaluate(lp: DenseLP, state: TargetingState, bests) -> TargetingState:
     """Steps 5-7: hold the center when it is feasible and at least as good
     as every cohort best; otherwise move it to the centroid of the cohort
     bests. When every cohort came back empty the center holds and a stall
-    counter is bumped. The clock advances by one either way.
+    counter is bumped. The clock advances by one either way. ``bests`` is
+    the pair ``process_cohorts`` returns for all n cohorts.
     """
-    seen = sorted(b.cohort for b in bests)
-    if seen != list(range(lp.n)):
-        raise ValueError("bests must cover every cohort exactly once")
-    q = sorted((b for b in bests if b.offset is not None), key=lambda b: b.cohort)
+    offsets, values = bests
+    if offsets.shape != (lp.n,) or values.shape != (lp.n,):
+        raise ValueError(f"bests must hold one offset and one value for each of {lp.n} cohorts")
+    q = np.flatnonzero(offsets)
     clock = state.clock + 1
-    if not q:
+    if not len(q):
         return replace(state, clock=clock, last_q_size=0, moved=False,
                        stalls=state.stalls + 1)
-    q_max = max(b.value for b in q)
+    q_max = values[q].max()
     cross = state.cross
     if max_violation(lp, cross.center) == 0.0 and objective_value(lp, cross.center) >= q_max:
         return replace(state, clock=clock, last_q_size=len(q), moved=False, stalls=0)
     # the q winners, built as point_of builds them: center plus offset * spacing
     points = np.tile(cross.center, (len(q), 1))
-    points[np.arange(len(q)), [b.cohort for b in q]] += (
-        np.array([b.offset for b in q]) * cross.spacing)
+    points[np.arange(len(q)), q] += offsets[q] * cross.spacing
     return replace(state, cross=recenter(cross, points.mean(axis=0)), clock=clock,
                    last_q_size=len(q), moved=True, stalls=0)
 
@@ -337,8 +320,7 @@ class TargetingWorkerSetup:
         cross = Cross(order.theta, self.spacing, self.points_per_cohort)
         plan = state.plan or _ScreenPlan(state.cohorts, self.points_per_cohort,
                                          self.spacing, cross.dimension)
-        bests = process_cohorts(lp, cross, state.cohorts, plan)
-        return replace(state, lp=lp, plan=plan), tuple(bests)
+        return replace(state, lp=lp, plan=plan), process_cohorts(lp, cross, state.cohorts, plan)
 
 
 class TargetingWorkload:
@@ -356,7 +338,7 @@ class TargetingWorkload:
         self.state = TargetingState(
             cross=Cross(z, cfg.spacing, cfg.points_per_cohort), clock=problem.clock)
         self._worker_lp = None
-        self._partition: list[list[int]] | None = None
+        self._block_sizes: list[int] = []
         self.rows: list[TraceRow] = []
         self.requests = 0
 
@@ -366,7 +348,10 @@ class TargetingWorkload:
 
     def init(self, p_workers: int, partition) -> TargetingWorkerSetup:
         self._worker_lp = self.lp
-        self._partition = [sorted(int(c) for c in part) for part in partition]
+        blocks = [sorted(int(c) for c in part) for part in partition]
+        if [c for block in blocks for c in block] != list(range(self.lp.n)):
+            raise ValueError("the partition must be contiguous cohort blocks in worker order")
+        self._block_sizes = [len(block) for block in blocks]
         return TargetingWorkerSetup(self.lp, self.cfg.spacing, self.cfg.points_per_cohort)
 
     def make_order(self) -> Order:
@@ -375,18 +360,21 @@ class TargetingWorkload:
         self._worker_lp = self.lp
         return order
 
-    def merge_results(self, results: list[tuple]) -> list[CohortBest]:
-        """Every worker's bests, worker ``w``'s at position ``w``, in that
-        order; ``evaluate`` sorts them."""
-        if len(results) != len(self._partition):
-            raise ValueError(f"expected {len(self._partition)} worker answers, "
-                             f"got {len(results)}")
-        for w, bests in enumerate(results):
-            if sorted(b.cohort for b in bests) != self._partition[w]:
-                raise ValueError(f"worker {w} answered outside its cohort assignment")
-        return [b for bests in results for b in bests]
+    def merge_results(self, results: list) -> tuple[np.ndarray, np.ndarray]:
+        """Every worker's ``(offsets, values)``, worker ``w``'s at position
+        ``w``, concatenated: in cohort order, since ``init`` checked that the
+        blocks are contiguous and in worker order. Lengths are checked."""
+        sizes = self._block_sizes
+        if len(results) != len(sizes):
+            raise ValueError(f"expected {len(sizes)} worker answers, got {len(results)}")
+        for w, ((offsets, values), size) in enumerate(zip(results, sizes)):
+            if len(offsets) != size or len(values) != size:
+                raise ValueError(f"worker {w} answered {len(offsets)} offsets and "
+                                 f"{len(values)} values for its {size} cohorts")
+        offsets, values = zip(*results)
+        return np.concatenate(offsets), np.concatenate(values)
 
-    def evaluate(self, bests: list[CohortBest]) -> None:
+    def evaluate(self, bests: tuple[np.ndarray, np.ndarray]) -> None:
         lp = self.lp
         prev_clock = self.state.clock
         next_lp = advance(self.problem, lp, prev_clock)

@@ -78,12 +78,12 @@ def test_criterion_03_cross_geometry_sweep():
 def test_criterion_04_hand_computed_targeting_step(unit_square):
     t0 = time.perf_counter()
     cross = Cross(center=np.array([0.5, 0.5]), spacing=0.25, points_per_cohort=4)
-    bests = process_cohorts(unit_square, cross, [0, 1])
-    assert np.array_equal(point_of(cross, Marker(0, bests[0].offset)), np.array([1.0, 0.5]))
-    assert bests[0].value == 1.5
-    assert np.array_equal(point_of(cross, Marker(1, bests[1].offset)), np.array([0.5, 1.0]))
-    assert bests[1].value == 1.5
-    state = evaluate(unit_square, TargetingState(cross=cross, clock=0), bests)
+    offsets, values = process_cohorts(unit_square, cross, [0, 1])
+    assert np.array_equal(point_of(cross, Marker(0, offsets[0])), np.array([1.0, 0.5]))
+    assert values[0] == 1.5
+    assert np.array_equal(point_of(cross, Marker(1, offsets[1])), np.array([0.5, 1.0]))
+    assert values[1] == 1.5
+    state = evaluate(unit_square, TargetingState(cross=cross, clock=0), (offsets, values))
     assert np.array_equal(state.cross.center, np.array([0.75, 0.75]))
     assert state.moved and state.clock == 1
     _report(4, "unit-square cohort bests (1,.5), (.5,1) and centroid (.75,.75), exact",

@@ -26,7 +26,7 @@ from nslp import (BsfExecutor, BsfWorkerError, Cross, DriftSpec, NonStationaryLP
 from nslp.bsf import (RunMetrics, _Pool, _pool_context, _session, metrics_from_csv,
                       metrics_to_csv)
 from nslp.lp import EMPTY_DELTA
-from nslp.targeting import (CohortBest, TargetingConfig, TargetingState, TargetingWorkerSetup,
+from nslp.targeting import (TargetingConfig, TargetingState, TargetingWorkerSetup,
                             TargetingWorkload)
 
 
@@ -197,35 +197,45 @@ def test_order_of_another_dimension_fails_on_the_worker():
 
 
 def test_worker_result_carries_markers_not_points():
-    # the parent's result for these 100 cohorts pickled to 165 kB: one
-    # n-float point per cohort
+    # a worker's answer is one int64 offset and one float64 value per
+    # cohort, the pair process_cohorts returns, not an n-float point
     n = 200
     x, _ = model_n_optimum(n)
     start = np.maximum(x - np.random.default_rng(4242).uniform(0.0, 2.0, n), 0.0)
-    bests = process_cohorts(model_n(n), Cross(start, 1.0, 8), range(100))
-    assert all(b.offset is not None for b in bests)
-    result = tuple(bests)
-    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    assert len(payload) < 8_000
-    assert pickle.loads(payload) == result
+    answer = process_cohorts(model_n(n), Cross(start, 1.0, 8), range(100))
+    assert np.count_nonzero(answer[0]) == 100
+    payload = pickle.dumps(answer, protocol=pickle.HIGHEST_PROTOCOL)
+    assert len(payload) < 2_000
+    back = pickle.loads(payload)
+    assert [(a.dtype, a.tobytes()) for a in back] == [(a.dtype, a.tobytes()) for a in answer]
 
 
-# each answer lists the cohorts of the bests at each position, and the error
-# it raises; the position names the worker
+# each answer lists the offset and value counts at each position, and the
+# error it raises; the position names the worker
 @pytest.mark.parametrize("answer", [
-    ([(0, 1, 2), (3, 4)], "worker 1 answered outside its cohort assignment"),
-    ([(0, 1, 2), (2, 3, 4, 5)], "worker 1 answered outside its cohort assignment"),
-    ([(0, 1, 2), (3, 4, 5), (3, 4, 5)], "expected 2 worker answers, got 3"),
-    ([(0, 1, 2)], "expected 2 worker answers, got 1"),
-    ([(3, 4, 5), (0, 1, 2)], "worker 0 answered outside its cohort assignment"),
+    ([(3, 3), (2, 3)], "^worker 1 answered 2 offsets and 3 values for its 3 cohorts$"),
+    ([(3, 3), (3, 4)], "^worker 1 answered 3 offsets and 4 values for its 3 cohorts$"),
+    ([(3, 3), (3, 3), (3, 3)], "^expected 2 worker answers, got 3$"),
+    ([(3, 3)], "^expected 2 worker answers, got 1$"),
 ])
 def test_merge_results_names_a_worker_whose_bests_miss_or_add_a_cohort(answer):
     wl = TargetingWorkload(NonStationaryLP(base=model_n(6)), np.zeros(6),
                            TargetingConfig(points_per_cohort=2, spacing=0.5), 1)
     wl.init(2, block_partition(6, 2))  # worker 0 owns cohorts 0, 1 and 2, worker 1 the rest
-    cohorts, error = answer
+    counts, error = answer
     with pytest.raises(ValueError, match=error):
-        wl.merge_results([tuple(CohortBest(c) for c in part) for part in cohorts])
+        wl.merge_results([(np.zeros(k, dtype=np.int64), np.full(v, -np.inf)) for k, v in counts])
+
+
+@pytest.mark.parametrize("partition", [[[3, 4, 5], [0, 1, 2]], [[0, 2], [1, 3, 4, 5]],
+                                       [[0, 1, 2], [3, 4]], [[0, 1, 2], [2, 3, 4, 5]]])
+def test_init_takes_only_contiguous_blocks_in_worker_order(partition):
+    # answers carry no cohort ids, so merge_results relies on this layout
+    wl = TargetingWorkload(NonStationaryLP(base=model_n(6)), np.zeros(6),
+                           TargetingConfig(points_per_cohort=2, spacing=0.5), 1)
+    with pytest.raises(ValueError, match="^the partition must be contiguous cohort blocks"):
+        wl.init(2, partition)
+    wl.init(2, [[2, 0, 1], [5, 3, 4]])  # each block is sorted first
 
 
 # --- orders carry exactly the changed entries ---------------------------------
@@ -240,7 +250,7 @@ def test_make_order_stationary_is_theta_only():
         order = wl.make_order()
         assert order.delta.is_empty()
         bests = process_cohorts(wl.lp, Cross(order.theta, 0.5, 2), range(4))
-        wl.evaluate(wl.merge_results([tuple(bests)]))
+        wl.evaluate(wl.merge_results([bests]))
 
 
 def test_one_row_regime_order_budget():
@@ -728,7 +738,7 @@ class ProbeWorkload:
         return Order(theta=np.zeros(1), delta=SparseDelta(), clock=0)
 
     def merge_results(self, results):
-        return [bests[0] for bests in results]
+        return [answer[0] for answer in results]
 
     def evaluate(self, merged):
         self.seen = merged
@@ -986,7 +996,7 @@ def test_record_replay_bit_reproduces_results():
         state = setup.init_state(w, tuple(partition[w]))
         replayed = []
         for frame in workload.frames:
-            state, bests = setup.process_order(state, order_from_bytes(frame))
-            replayed.append(tuple(bests))
-        assert replayed == [results[w] for results in workload.results]
+            state, answer = setup.process_order(state, order_from_bytes(frame))
+            replayed.append([a.tobytes() for a in answer])
+        assert replayed == [[a.tobytes() for a in results[w]] for results in workload.results]
 

@@ -161,6 +161,16 @@ def test_point_of_accepts_a_numpy_integer_cohort():
         assert got.tobytes() == point_of(c, Marker(int(chi), -2)).tobytes()
 
 
+@pytest.mark.parametrize("coordinate", [1e308, -1e308, np.inf, np.nan])
+def test_marker_of_rejects_an_offset_that_is_not_finite(coordinate):
+    # 1e308 / 1e-300 overflows to inf; inf and NaN coordinates have no offset
+    c = Cross(np.zeros(3), 1e-300, 2)
+    point = np.array([coordinate, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^point does not lie exactly on the cross$"):
+            marker_of(c, point)
+
+
 def test_marker_of_range_messages():
     c = Cross(center=np.array([0.5, -1.0, 2.0]), spacing=0.25, points_per_cohort=4)
     beyond = c.center.copy()

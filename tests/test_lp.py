@@ -181,6 +181,16 @@ def test_drift_spec_rejects_non_finite_magnitude(magnitude):
         DriftSpec(kind="random-sparse", delta=0.5, magnitude=magnitude)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_drift_spec_rejects_a_seed_that_is_not_an_integer(seed):
+    # caught at construction, not as a TypeError at the first drift step
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        DriftSpec(kind="random-sparse", delta=0.5, seed=seed)
+    for good in (-1, np.int64(7)):  # masked to 64 bits; a numpy integer too
+        drift = DriftSpec(kind="random-sparse", delta=0.5, seed=good)
+        snapshot(NonStationaryLP(model_n(3), drift), 1)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_drift_spec_rejects_a_non_finite_translate_vector(bad):
     # caught at construction, not as a non-finite b when the first snapshot is built
